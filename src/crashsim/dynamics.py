@@ -20,12 +20,14 @@ event; bounce chains are out of scope.
 
 Integration
 -----------
-Classic fixed-step RK4 at the scenario sampling period, with substeps capped
-at 1e-4 s so coarse sample rates do not degrade accuracy. The accumulated
-damper energy (integral of c*x'^2) is carried as an extra state so energy
-accounting uses the exact same quadrature as the motion. Termination events
-are located by linear interpolation of x across the bracketing step and the
-final sample is evaluated there with a partial RK4 step.
+The contact ODE is linear and time-invariant, so the state advances by its
+exact discrete-time propagator exp(A*h) on internal steps of h = 1/sample_rate,
+divided until h <= 1e-4 s. The accumulated damper energy (integral of
+c*x'^2) is the exact integral over each step, computed independently of the
+energy balance. Termination events are bracketed on the internal step grid
+and located inside their step on the closed-form solution; the final sample
+holds the exact state at the event. Steps with omega_n*h > pi are refused:
+beyond that a rebound or collision can fall between two steps.
 
 Sign conventions for acceleration follow x: positive a points downward. An
 ideal accelerometer measures specific force |a - g|: zero in free fall, 1 g
@@ -46,7 +48,8 @@ from .errors import DomainError, NumericalError, UnsupportedRegimeError
 
 STANDARD_GRAVITY = 9.81
 
-# hard cap on the RK4 substep; 1/sample_rate is divided until it fits
+# hard cap on the internal step, which is the event-search resolution;
+# 1/sample_rate is divided until it fits
 MAX_SUBSTEP_S = 1e-4
 
 
@@ -140,7 +143,7 @@ class Trajectory:
     Arrays share one length: time [s] (strictly increasing from 0),
     compression [m], velocity [m/s], acceleration [m/s²] and the cumulative
     damper energy [J] integrated alongside the motion. When the run ended in
-    an event, the final sample sits at the interpolated event time and is
+    an event, the final sample sits at the located event time and is
     spaced closer than 1/sample_rate from its predecessor.
     """
 
@@ -184,12 +187,14 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
 
 def simulate_impact(params: ImpactParams, v0: float, clearance: float,
                     sample_rate: float, max_time: float = 1.0) -> Trajectory:
-    """Integrate a contact that starts at compression 0 with velocity v0.
+    """Propagate a contact that starts at compression 0 with velocity v0.
 
     Lower-level entry point used by simulate_contact; taking v0 directly
     decouples the initial speed from the gravity that forces the contact.
     A zero v0 is a zero-length contact: the trajectory holds the single
-    initial sample and terminates as a rebound.
+    initial sample and terminates as a rebound. Raises NumericalError when
+    the internal step exceeds half a natural period (omega_n*h > pi), where
+    events could pass unseen between steps.
     """
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:
@@ -218,21 +223,24 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
     dt = period / substeps
     max_records = math.ceil(float(max_time) * float(sample_rate))
 
-    t, x, v, a, e, n, term, fail_time = _kernels.integrate_contact(
+    if params.natural_frequency * dt > math.pi:
+        raise NumericalError(
+            f"internal step {dt:.6g} s exceeds half the natural period "
+            f"{math.pi / params.natural_frequency:.6g} s; a rebound or "
+            f"collision could fall between steps",
+            time=dt,
+        )
+
+    t, x, v, a, e, term = _kernels.integrate_contact(
         params.mass, params.damping, params.stiffness, params.gravity,
         v0, float(clearance), dt, substeps, max_records,
     )
-    if term == _kernels.TERM_NON_FINITE:
-        raise NumericalError(
-            f"integration produced a non-finite state at t={fail_time:.6g} s",
-            time=fail_time,
-        )
     return Trajectory(
-        time=t[:n].copy(),
-        compression=x[:n].copy(),
-        velocity=v[:n].copy(),
-        acceleration=a[:n].copy(),
-        damper_energy=e[:n].copy(),
+        time=t,
+        compression=x,
+        velocity=v,
+        acceleration=a,
+        damper_energy=e,
         termination=_TERM_FROM_CODE[term],
         impact_velocity=v0,
         sample_rate=float(sample_rate),
@@ -250,8 +258,9 @@ def simulate_contact(params: ImpactParams, scenario: DropScenario,
 def analytic_solution(params: ImpactParams, v0: float, t):
     """Closed-form underdamped solution of the contact ODE at times t.
 
-    Returns (x, v, a) evaluated at t (scalar or array). Serves as the
-    independent oracle for the RK4 integrator; only the underdamped branch
+    Returns (x, v, a) evaluated at t (scalar or array). A separate
+    hand-written formula that serves as the independent oracle for the
+    propagator in simulate_impact; only the underdamped branch
     (c < 2*sqrt(k*m)) is implemented.
     """
     zeta = params.damping_ratio

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dynamics import DropScenario, ImpactParams, Termination, simulate_contact
 from .errors import DomainError
 
@@ -132,10 +131,8 @@ def energy_distribution_curve(params: ImpactParams, scenario_template: DropScena
         if not (math.isfinite(h) and h >= 0.0):
             raise DomainError(f"invalid drop altitude {h!r} in altitude list")
 
-    def one(h: float) -> EnergyBreakdown:
-        return energy_partition(params, replace(scenario_template, drop_altitude=h))
-
-    return list(zip(altitudes, parallel_map(one, altitudes)))
+    return [(h, energy_partition(params, replace(scenario_template, drop_altitude=h)))
+            for h in altitudes]
 
 
 def collision_threshold_altitude(params: ImpactParams, scenario_template: DropScenario,

@@ -22,7 +22,7 @@ class UnsupportedRegimeError(DomainError):
 
 
 class NumericalError(CrashSimError, ArithmeticError):
-    """The integration produced a non-finite state."""
+    """The simulation cannot resolve the requested contact on its time step."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

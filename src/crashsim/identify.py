@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dynamics import (
     STANDARD_GRAVITY,
     DropScenario,
@@ -119,13 +118,9 @@ def model_peak(params: ImpactParams, scenario: DropScenario,
 def _peaks_by_altitude(damping: float, setup: FitSetup,
                        altitudes: set[float]) -> dict[float, float]:
     params = setup.params_with(damping)
-    unique = sorted(altitudes)
-    peaks = parallel_map(
-        lambda h: model_peak(params, replace(setup.scenario, drop_altitude=h),
-                             setup.use_raw_peak),
-        unique,
-    )
-    return dict(zip(unique, peaks))
+    return {h: model_peak(params, replace(setup.scenario, drop_altitude=h),
+                          setup.use_raw_peak)
+            for h in sorted(altitudes)}
 
 
 def mse_loss(damping: float, setup: FitSetup,
@@ -172,7 +167,7 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     # coarse scan: log-spaced grid above c_low (log spacing needs a positive start)
     eps = max(1e-3, 1e-6 * (c_high - c_low))
     grid = np.geomspace(c_low + eps, c_high, 64)
-    grid_losses = parallel_map(loss, grid)
+    grid_losses = [loss(c) for c in grid]
     evaluations += len(grid)
 
     best_c = float(grid[int(np.argmin(grid_losses))])

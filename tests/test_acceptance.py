@@ -40,7 +40,7 @@ def report(number: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger JIT compilation so runtime budgets measure the algorithms
+    # one drop and one filter first, so runtime budgets leave out first-call costs
     simulate_contact(REFERENCE, DropScenario(0.5))
     lowpass_filter(SignalTrace(20000.0, np.zeros(4)), FilterSpec(500.0, 20000.0))
 

@@ -50,7 +50,7 @@ class TestSimulate:
         assert not (out / "summary.json").exists()
 
     def test_numerical_blowup_exit_3(self, tmp_path):
-        # RK4 at omega*dt ~ 1e75 overflows before any event can trigger
+        # omega*dt ~ 1e75 far exceeds pi: events could fall between steps
         assert run_cli("--out-dir", tmp_path, "simulate", "--altitude-cm", "100",
                        "--mass", "1e-8", "--stiffness", "1e150", "--damping", "0",
                        "--sample-rate-hz", "1500") == 3

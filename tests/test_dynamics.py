@@ -138,8 +138,8 @@ class TestSimulateContact:
         assert traj.time[-1] <= 0.002 + 1e-12
 
     def test_non_finite_state_raises(self):
-        # RK4 at omega*dt ~ 1e75 overflows within two steps, before the
-        # blow-up can cross either event level
+        # omega*dt ~ 1e75 far exceeds pi, so a rebound or collision could
+        # fall between steps; the step is refused
         params = ImpactParams(mass=1e-8, damping=0.0, stiffness=1e150)
         with pytest.raises(NumericalError) as exc_info:
             simulate_impact(params, v0=1.0, clearance=0.016, sample_rate=1000.0)

@@ -1,89 +1,133 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crashsim import (
+    DropScenario,
+    ImpactParams,
+    Termination,
+    analytic_solution,
+    simulate_contact,
+    simulate_impact,
+)
 from crashsim import _kernels
 
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path not active")
-class TestJitMatchesPure:
-    def test_integrator_paths_agree(self):
-        args = (0.241, 46.0, 7040.0, 9.81, 5.4249423960075373, 0.016,
-                5e-5, 1, 20000)
-        jitted = _kernels.integrate_contact(*args)
-        pure = _kernels._integrate_contact_impl(*args)
-        n_jit, term_jit = jitted[5], jitted[6]
-        n_pure, term_pure = pure[5], pure[6]
-        assert n_jit == n_pure
-        assert term_jit == term_pure
-        for a_jit, a_pure in zip(jitted[:5], pure[:5]):
-            np.testing.assert_allclose(a_jit[:n_jit], a_pure[:n_pure],
-                                       rtol=1e-14, atol=1e-18)
-
-    def test_filter_paths_agree(self):
-        values = np.random.default_rng(0).standard_normal(5000)
-        k = math.tan(math.pi * 500.0 / 20000.0)
-        np.testing.assert_allclose(_kernels.lowpass(values, k, k),
-                                   _kernels._lowpass_impl(values, k, k),
-                                   rtol=1e-14, atol=1e-18)
+MASS = 0.241
+STIFFNESS = 7040.0
+C_CRIT = 2.0 * math.sqrt(STIFFNESS * MASS)
 
 
-class TestEnvFlag:
-    def test_disable_flag_selects_pure_path(self):
-        code = (
-            "from crashsim import _kernels, simulate_contact, ImpactParams, DropScenario\n"
-            "assert not _kernels.NUMBA_ENABLED\n"
-            "assert _kernels.integrate_contact is _kernels._integrate_contact_impl\n"
-            "traj = simulate_contact(ImpactParams(0.241, 46.0, 7040.0), DropScenario(1.0))\n"
-            "print(traj.termination.value)\n"
-        )
-        env = dict(os.environ, CRASHSIM_NUMBA="0")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "rebound"
-
-    def test_pure_path_reproduces_jitted_trajectory(self):
-        # the fallback must be numerically identical, not merely close
-        code = (
-            "import numpy as np\n"
-            "from crashsim import simulate_contact, ImpactParams, DropScenario\n"
-            "t = simulate_contact(ImpactParams(0.241, 46.0, 7040.0), DropScenario(0.5))\n"
-            "print(repr(float(t.compression.max())), repr(float(t.velocity[-1])))\n"
-        )
-        results = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, CRASHSIM_NUMBA=flag)
-            proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            results[flag] = proc.stdout.strip()
-        assert results["0"] == results["1"]
+def params_at(zeta: float, mass: float = MASS, stiffness: float = STIFFNESS) -> ImpactParams:
+    return ImpactParams(mass=mass, damping=zeta * 2.0 * math.sqrt(stiffness * mass),
+                        stiffness=stiffness)
 
 
-class TestMaxThreadsEnv:
-    def test_thread_cap_respected(self):
-        from crashsim import _parallel
+def max_rel(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
-        old = os.environ.get("CRASHSIM_MAX_THREADS")
-        try:
-            os.environ["CRASHSIM_MAX_THREADS"] = "2"
-            assert _parallel.max_threads() == 2
-            os.environ["CRASHSIM_MAX_THREADS"] = "not_a_number"
-            assert _parallel.max_threads() >= 1
-        finally:
-            if old is None:
-                os.environ.pop("CRASHSIM_MAX_THREADS", None)
-            else:
-                os.environ["CRASHSIM_MAX_THREADS"] = old
 
-    def test_single_thread_map_matches_parallel(self):
-        from crashsim import _parallel
+class TestPropagatorMatchesClosedForm:
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("sample_rate", [5000.0, 20000.0, 100000.0])
+    @pytest.mark.parametrize("altitude", [0.5, 20.0])
+    def test_states_on_sample_grid(self, zeta, sample_rate, altitude):
+        params = params_at(zeta)
+        traj = simulate_contact(params, DropScenario(altitude, sample_rate=sample_rate))
+        x_ref, v_ref, a_ref = analytic_solution(params, traj.impact_velocity, traj.time)
+        assert max_rel(traj.compression, x_ref) < 1e-9
+        assert max_rel(traj.velocity, v_ref) < 1e-9
+        assert max_rel(traj.acceleration, a_ref) < 1e-9
 
-        items = list(range(20))
-        sequential = [x * x for x in items]
-        assert _parallel.parallel_map(lambda x: x * x, items) == sequential
+    def test_long_contact_crosses_chunks(self):
+        # a slow undamped zero-gravity oscillator with a far clearance stays in
+        # contact for thousands of steps, carried over many propagation chunks
+        params = ImpactParams(mass=1.0, damping=0.0, stiffness=100.0, gravity=0.0)
+        traj = simulate_impact(params, v0=1.0, clearance=10.0, sample_rate=20000.0,
+                               max_time=0.5)
+        # the rebound at t = pi/10 ends it before the horizon
+        assert traj.termination is Termination.REBOUND
+        assert traj.time[-1] == pytest.approx(math.pi / 10.0, rel=1e-12)
+        assert len(traj) > 4 * _kernels.CHUNK_STEPS
+        x_ref, v_ref, _ = analytic_solution(params, 1.0, traj.time)
+        assert max_rel(traj.compression, x_ref) < 1e-12
+        assert max_rel(traj.velocity, v_ref) < 1e-12
+
+
+class TestCriticalDampingContinuity:
+    # (1 kg, 40 000 N/m, 400 N·s/m) is critical with no rounding at all
+    @pytest.mark.parametrize("mass,stiffness,c_crit", [(MASS, STIFFNESS, C_CRIT),
+                                                       (1.0, 40000.0, 400.0)])
+    @pytest.mark.parametrize("altitude", [0.5, 20.0])
+    @pytest.mark.parametrize("sample_rate", [5000.0, 20000.0])
+    def test_neighbours_of_critical_agree(self, mass, stiffness, c_crit, altitude,
+                                          sample_rate):
+        scenario = DropScenario(altitude, sample_rate=sample_rate)
+        critical = simulate_contact(ImpactParams(mass, c_crit, stiffness), scenario)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            near = simulate_contact(ImpactParams(mass, c_crit * factor, stiffness), scenario)
+            assert near.termination is critical.termination
+            assert len(near) == len(critical)
+            assert max_rel(near.time, critical.time) < 1e-7
+            assert max_rel(near.compression, critical.compression) < 1e-7
+            assert max_rel(near.velocity, critical.velocity) < 1e-7
+            assert max_rel(near.damper_energy, critical.damper_energy) < 1e-7
+
+
+class TestDamperEnergyClosure:
+    @settings(max_examples=40, deadline=None)
+    @given(zeta=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+           mass=st.floats(0.05, 5.0),
+           stiffness=st.floats(500.0, 50000.0),
+           altitude=st.floats(0.01, 30.0),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]))
+    def test_balance_closes_at_every_sample(self, zeta, mass, stiffness, altitude,
+                                            sample_rate):
+        params = params_at(zeta, mass, stiffness)
+        traj = simulate_contact(params, DropScenario(altitude, sample_rate=sample_rate),
+                                max_time=0.2)
+        m, k, g = params.mass, params.stiffness, params.gravity
+        ke0 = 0.5 * m * traj.impact_velocity ** 2
+        lhs = (0.5 * m * traj.velocity ** 2 + 0.5 * k * traj.compression ** 2
+               + traj.damper_energy)
+        rhs = ke0 + m * g * traj.compression
+        assert np.max(np.abs(lhs - rhs) / rhs) < 1e-9
+        if zeta == 0.0:
+            assert np.max(traj.damper_energy) == 0.0
+
+
+def lowpass_loop(values, k_mid, k_last):
+    """Reference recurrence, one sample at a time."""
+    out = np.empty(len(values))
+    x_prev = y_prev = values[0]
+    for i, x_i in enumerate(values):
+        k = k_last if i == len(values) - 1 else k_mid
+        y_prev = k / (1.0 + k) * (x_i + x_prev) - (k - 1.0) / (1.0 + k) * y_prev
+        out[i] = y_prev
+        x_prev = x_i
+    return out
+
+
+class TestLowpassMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=3000),
+           ratio=st.sampled_from([4.0, 10.0, 40.0, 200.0, 2000.0]),
+           last_share=st.floats(0.01, 1.0))
+    def test_scan_equals_recurrence(self, values, ratio, last_share):
+        values = np.array(values)
+        k_mid = math.tan(math.pi / ratio)
+        k_last = math.tan(math.pi / ratio * last_share)
+        expected = lowpass_loop(values, k_mid, k_last)
+        got = _kernels.lowpass(values, k_mid, k_last)
+        scale = max(float(np.max(np.abs(values))), 1e-300)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("values", [[3.0], [3.0, -1.0], [2.0, 5.0, 7.0]])
+    @pytest.mark.parametrize("k_last", [0.0787, 0.02])
+    def test_short_traces(self, values, k_last):
+        values = np.array(values)
+        np.testing.assert_allclose(_kernels.lowpass(values, 0.0787, k_last),
+                                   lowpass_loop(values, 0.0787, k_last),
+                                   rtol=1e-12, atol=1e-12)
