@@ -13,6 +13,7 @@ from .dynamics import (
     Termination,
     Trajectory,
     analytic_solution,
+    drop_peaks,
     impact_velocity,
     peak_acceleration,
     simulate_contact,
@@ -76,6 +77,7 @@ __all__ = [
     "altitude_energy_ratio",
     "analytic_solution",
     "collision_threshold_altitude",
+    "drop_peaks",
     "energy_distribution_curve",
     "energy_partition",
     "estimate_stiffness",

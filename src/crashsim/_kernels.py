@@ -1,6 +1,7 @@
-"""Hot paths: exact contact propagation and the first-order IIR filter.
+"""Hot paths: exact contact propagation, batched peak evaluation and the
+first-order IIR filter.
 
-Both kernels are numpy-vectorised; neither loops over samples in Python.
+All three are numpy-vectorised; none loops over samples in Python.
 
 The contact ODE m*x'' + c*x' + k*x = m*g is linear and time-invariant, so the
 offset state y = (x - m*g/k, v) obeys y' = A*y with A = [[0, 1], [-w2, -2a]],
@@ -27,6 +28,14 @@ TERM_MAX_TIME = 2
 
 # steps propagated per numpy pass; bounds the temporaries of one call
 CHUNK_STEPS = 512
+
+# contacts that contact_peaks propagates together in one numpy pass, so a
+# pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is
+ROW_BLOCK = 8
+
+# relative slack on the stop rule's bounds, far above the rounding of the
+# propagated states, so a stop never rests on the last bits of a sample
+STOP_SLACK = 1e-9
 
 
 def _transition(alpha, w2, tau):
@@ -131,6 +140,35 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
     return float(tau)
 
 
+def _chunk_steps(total, substeps):
+    """Steps per numpy pass: whole records, about CHUNK_STEPS of them."""
+    return min(total, substeps * max(1, CHUNK_STEPS // substeps))
+
+
+def _event_hits(x, clearance):
+    """Steps whose end is an event: compression reaching clearance from
+    below, or crossing zero downward. x holds a chunk's compressions on its
+    last axis, index 0 the carried state."""
+    hit = x[..., 1:] >= clearance
+    hit |= (x[..., 1:] <= 0.0) & (x[..., :-1] > 0.0)
+    return hit
+
+
+def _event(alpha, w2, x_eq, clearance, y0, v0, x_end, dt):
+    """(collided, tau, x, v) of the event inside the step of dt that starts
+    from the offset state (y0, v0) and ends at compression x_end."""
+    collided = bool(x_end >= clearance)
+    level = clearance if collided else 0.0
+    tau = _event_time(alpha, w2, x_eq - level, y0, v0, dt)
+    f00, f01, f10, f11 = _transition(alpha, w2, tau)
+    return collided, tau, x_eq + f00 * y0 + f01 * v0, f10 * y0 + f11 * v0
+
+
+def _acceleration(mass, damping, stiffness, gravity, x, v):
+    """a = g - (c*v + k*x)/m of states (x, v)."""
+    return gravity - (damping * v + stiffness * x) * (1.0 / mass)
+
+
 def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
                       dt, substeps, max_records):
     """Exact propagation of m*x'' + c*x' + k*x = m*g during contact.
@@ -151,7 +189,7 @@ def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
     x_eq = gravity / w2
 
     total = max_records * substeps
-    chunk = min(total, substeps * max(1, CHUNK_STEPS // substeps))
+    chunk = _chunk_steps(total, substeps)
     p00, p01, p10, p11 = _transition(alpha, w2, dt * np.arange(chunk + 1))
     q = _damper_gram(alpha, w2, damping, dt)
 
@@ -165,9 +203,7 @@ def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
         v = p10 * y0 + p11 * y1
         e = np.concatenate(([e0], e0 + np.cumsum(_dissipated(q, y[:-1], v[:-1]))))
         x = x_eq + y
-        hit = x[1:] >= clearance
-        hit |= (x[1:] <= 0.0) & (x[:-1] > 0.0)
-        first = np.flatnonzero(hit)
+        first = np.flatnonzero(_event_hits(x, clearance))
         end = int(first[0]) + 1 if first.size else chunk + 1
 
         record = slice(substeps, end, substeps)
@@ -178,13 +214,11 @@ def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
 
         if first.size:
             j = end - 1  # the event step starts from state j
-            collided = bool(x[end] >= clearance)
-            level = clearance if collided else 0.0
-            tau = _event_time(alpha, w2, x_eq - level, y[j], v[j], dt)
-            f00, f01, f10, f11 = _transition(alpha, w2, tau)
+            collided, tau, x_ev, v_ev = _event(alpha, w2, x_eq, clearance,
+                                               y[j], v[j], x[end], dt)
             times.append([(done + j) * dt + tau])
-            xs.append([x_eq + f00 * y[j] + f01 * v[j]])
-            vs.append([f10 * y[j] + f11 * v[j]])
+            xs.append([x_ev])
+            vs.append([v_ev])
             gram = _damper_gram(alpha, w2, damping, tau)
             es.append([e[j] + _dissipated(gram, y[j], v[j])])
             term = TERM_COLLISION if collided else TERM_REBOUND
@@ -198,8 +232,176 @@ def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
 
     t, x, v, e = (np.concatenate(parts) for parts in (times, xs, vs, es))
     del times, xs, vs, es  # drop the chunk copies before the last temporaries
-    a = gravity - (damping * v + stiffness * x) * (1.0 / mass)
+    a = _acceleration(mass, damping, stiffness, gravity, x, v)
     return t, x, v, a, e, term
+
+
+def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
+                  period, substeps, max_records, cutoff=None):
+    """Peak and termination code of every contact (dampings[b], v0s[a]),
+    as two (B, A) arrays, without keeping trajectories or damper energy.
+
+    Each contact is the one integrate_contact propagates on steps of
+    dt = period/substeps, through the same _chunk_steps, _event_hits and
+    _event, so every sample is the same. A v0 of 0 is a zero-length contact, as in
+    simulate_impact. The peak is the largest |a| when cutoff is None, else
+    the largest |lowpass| output of |a - g| with k = tan(pi*cutoff*period).
+
+    ROW_BLOCK contacts advance together, one chunk per numpy pass; a
+    finished contact hands its row to the next. A contact stops at its
+    event, or at the first chunk boundary where neither its outcome nor its
+    peak can change any more. With y = x - x_eq and w2 = k/m:
+
+    - E = v**2/2 + w2*y**2/2 never grows (dE/dt = -(c/m)*v**2), so from any
+      state on |y| <= sqrt(2E/w2). With x_eq -+ that bound strictly inside
+      (0, clearance) no event can follow: the contact reaches max_time.
+    - a = -(c/m)*v - w2*y, so every later |a| is at most
+      sqrt(2E)*(sqrt(w2) + c/m), and every later |a - g| at most g more.
+    - For k <= 1 the filter's coefficients b0, b0 and r are nonnegative and
+      sum to 1, so every later output is at most the largest of the current
+      output and the later inputs.
+
+    Once that bound is below the running peak, the peak is final. The
+    filtered peak is read from lowpass on the stored samples; its outputs
+    before the last are those of the full trace, bit for bit. For k > 1 the
+    filter can overshoot its inputs and contacts stop only at events.
+    """
+    dampings = np.asarray(dampings, dtype=np.float64)
+    v0s = np.asarray(v0s, dtype=np.float64)
+    peaks = np.empty((dampings.size, v0s.size))
+    codes = np.empty((dampings.size, v0s.size), dtype=int)
+
+    dt = period / substeps
+    w2 = stiffness / mass
+    w = math.sqrt(w2)
+    x_eq = gravity / w2
+    total = max_records * substeps
+    chunk = _chunk_steps(total, substeps)
+    steps = dt * np.arange(chunk + 1)
+    filtered = cutoff is not None
+    k_mid = prewarped_gain(cutoff, period) if filtered else None
+    settles = not filtered or k_mid <= 1.0
+    shift = gravity if filtered else 0.0  # the sensor reads |a - g|, raw |a|
+    slack = 1.0 + STOP_SLACK
+
+    # per slot: transition entries, carried state, damping, progress, the
+    # largest input so far and, when filtered, the inputs themselves
+    slots = min(ROW_BLOCK, peaks.size)
+    phi = np.zeros((4, slots, chunk + 1))
+    state = np.zeros((2, slots))
+    damping = np.zeros(slots)
+    row_of = [None] * slots
+    done = [0] * slots
+    inputs_peak = [0.0] * slots
+    inputs = [[] for _ in range(slots)]
+    table, table_b = None, None
+    pending = iter(range(peaks.size))
+
+    def settle(s, code, peak):
+        b, col = divmod(row_of[s], v0s.size)
+        codes[b, col], peaks[b, col] = code, peak
+        row_of[s] = None
+
+    def finish(s, code, step, last=None):
+        """Settle slot s with the peak of its whole trace; `last` is the
+        input of an event sample and `step` its spacing from the sample
+        before."""
+        if not filtered:
+            settle(s, code, inputs_peak[s] if last is None else max(inputs_peak[s], last))
+            return
+        trace = np.concatenate(inputs[s] if last is None else [*inputs[s], [last]])
+        k_last = prewarped_gain(cutoff, float(step))
+        settle(s, code, float(np.max(np.abs(lowpass(trace, k_mid, k_last)))))
+
+    while True:
+        for s in range(slots):
+            while row_of[s] is None:
+                row = next(pending, None)
+                if row is None:
+                    break
+                b, col = divmod(row, v0s.size)
+                c, v0 = dampings[b], v0s[col]
+                row_of[s] = row
+                if v0 == 0.0:
+                    # a zero-length contact: its one sample (a = g) passes
+                    # the filter unchanged
+                    settle(s, TERM_REBOUND, abs(gravity - shift))
+                    continue
+                if b != table_b:
+                    table, table_b = _transition(0.5 * c / mass, w2, steps), b
+                phi[:, s] = table
+                state[:, s] = (-x_eq, v0)
+                damping[s] = c
+                done[s] = 0
+                inputs_peak[s] = abs(_acceleration(mass, c, stiffness, gravity, 0.0, v0)
+                                     - shift)
+                inputs[s] = [np.array([inputs_peak[s]])]
+        if all(row is None for row in row_of):
+            break
+
+        # states at steps done .. done+chunk; column 0 repeats the carried state
+        y = phi[0] * state[0][:, None] + phi[1] * state[1][:, None]
+        v = phi[2] * state[0][:, None] + phi[3] * state[1][:, None]
+        x = x_eq + y
+        hit = _event_hits(x, clearance)
+        first = np.argmax(hit, axis=1)
+        samples = np.abs(_acceleration(mass, damping[:, None], stiffness, gravity,
+                                       x[:, substeps::substeps],
+                                       v[:, substeps::substeps]) - shift)
+        # twice the energy one record before the chunk's end bounds the rest
+        ye, ve = y[:, chunk - substeps], v[:, chunk - substeps]
+        energy2 = ve * ve + w2 * ye * ye
+
+        for s, row in enumerate(row_of):
+            if row is None:
+                continue
+            length = min(chunk, total - done[s])
+            event = bool(hit[s, first[s]]) and first[s] < length
+            end = int(first[s]) + 1 if event else length + 1
+            recorded = samples[s, :(end - 1) // substeps]
+            if recorded.size:
+                inputs_peak[s] = max(inputs_peak[s], float(np.max(recorded)))
+                if filtered:
+                    inputs[s].append(recorded)
+
+            if event:
+                j = end - 1  # the event step starts from state j
+                collided, tau, x_ev, v_ev = _event(
+                    0.5 * damping[s] / mass, w2, x_eq, clearance,
+                    y[s, j], v[s, j], x[s, end], dt)
+                a_ev = _acceleration(mass, damping[s], stiffness, gravity, x_ev, v_ev)
+                t_before = dt * (done[s] + (j // substeps) * substeps)
+                finish(s, TERM_COLLISION if collided else TERM_REBOUND,
+                       (done[s] + j) * dt + tau - t_before, abs(a_ev - shift))
+                continue
+            if done[s] + length == total:
+                finish(s, TERM_MAX_TIME, dt * total - dt * (total - substeps))
+                continue
+
+            state[:, s] = y[s, chunk], v[s, chunk]
+            done[s] += chunk
+            radius = slack * math.sqrt(energy2[s] / w2)
+            if not (settles and x_eq - radius > 0.0 and x_eq + radius < clearance):
+                continue
+            bound = slack * (shift + math.sqrt(energy2[s]) * (w + damping[s] / mass))
+            if bound >= inputs_peak[s]:
+                continue
+            if not filtered:
+                settle(s, TERM_MAX_TIME, inputs_peak[s])
+                continue
+            # the filtered peak is at most the largest input; outputs before
+            # the last are the full trace's
+            trace = np.concatenate(inputs[s])
+            inputs[s] = [trace]
+            peak = float(np.max(np.abs(lowpass(trace, k_mid, k_mid)[:-1])))
+            if bound < peak:
+                settle(s, TERM_MAX_TIME, peak)
+    return peaks, codes
+
+
+def prewarped_gain(cutoff, dt):
+    """Bilinear-transform coefficient tan(pi * fc * dt) for one step of dt."""
+    return math.tan(math.pi * cutoff * dt)
 
 
 def lowpass(values, k_mid, k_last):

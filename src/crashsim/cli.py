@@ -24,12 +24,13 @@ from . import io
 from .dynamics import (
     DropScenario,
     ImpactParams,
+    drop_peaks,
     peak_acceleration,
     simulate_contact,
 )
 from .energy import collision_threshold_altitude, energy_distribution_curve
 from .errors import ConfigurationError, CrashSimError, NumericalError
-from .identify import FitSetup, PeakObservation, estimate_stiffness, fit_damping, model_peak
+from .identify import FitSetup, PeakObservation, estimate_stiffness, fit_damping
 from .sensor import FilterSpec, filtered_series
 
 REFERENCE_MASS = 0.241
@@ -249,11 +250,13 @@ def cmd_synth(args) -> int:
     altitudes = _parse_altitudes_cm(args.altitudes_cm)
     rng = np.random.default_rng(args.seed)
 
+    peaks, _ = drop_peaks(params, _scenario(args, 0.0), [params.damping], altitudes,
+                          args.raw_peaks)
+
     out = _out_dir(args)
     observations = []
-    for h in altitudes:
+    for h, peak in zip(altitudes, peaks[0].tolist()):
         scenario = _scenario(args, h)
-        peak = model_peak(params, scenario, use_raw_peak=args.raw_peaks)
         alt_cm = h * 100.0
         for rep in range(args.repeats):
             noisy = peak * (1.0 + args.noise * rng.standard_normal()) if args.noise else peak

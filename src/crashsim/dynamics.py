@@ -29,6 +29,10 @@ and located inside their step on the closed-form solution; the final sample
 holds the exact state at the event. Steps with omega_n*h > pi are refused:
 beyond that a rebound or collision can fall between two steps.
 
+drop_peaks evaluates only the peak acceleration and the termination of many
+drops, on the same samples, and stops each contact as soon as neither can
+change any more.
+
 Sign conventions for acceleration follow x: positive a points downward. An
 ideal accelerometer measures specific force |a - g|: zero in free fall, 1 g
 at rest.
@@ -51,6 +55,9 @@ STANDARD_GRAVITY = 9.81
 # hard cap on the internal step, which is the event-search resolution;
 # 1/sample_rate is divided until it fits
 MAX_SUBSTEP_S = 1e-4
+
+# contact horizon [s]: a contact with no event by then ends as MAX_TIME
+MAX_TIME_S = 1.0
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -160,13 +167,6 @@ class Trajectory:
         return self.time.shape[0]
 
     @property
-    def samples(self) -> np.ndarray:
-        """(n, 4) array of (t, x, v, a) rows."""
-        return np.column_stack(
-            (self.time, self.compression, self.velocity, self.acceleration)
-        )
-
-    @property
     def max_compression(self) -> float:
         return float(np.max(self.compression))
 
@@ -185,8 +185,27 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
     return math.sqrt(2.0 * gravity * drop_altitude)
 
 
+def _step_grid(sample_rate: float, max_time: float) -> tuple[float, int, int]:
+    """(sample period, internal steps per sample, samples to max_time)."""
+    period = 1.0 / float(sample_rate)
+    substeps = max(1, math.ceil(period / MAX_SUBSTEP_S))
+    return period, substeps, math.ceil(float(max_time) * float(sample_rate))
+
+
+def _require_resolved(params: ImpactParams, dt: float) -> None:
+    """Refuse an internal step over half a natural period (omega_n*dt > pi),
+    where a rebound or collision could pass unseen between steps."""
+    if params.natural_frequency * dt > math.pi:
+        raise NumericalError(
+            f"internal step {dt:.6g} s exceeds half the natural period "
+            f"{math.pi / params.natural_frequency:.6g} s; a rebound or "
+            f"collision could fall between steps",
+            time=dt,
+        )
+
+
 def simulate_impact(params: ImpactParams, v0: float, clearance: float,
-                    sample_rate: float, max_time: float = 1.0) -> Trajectory:
+                    sample_rate: float, max_time: float = MAX_TIME_S) -> Trajectory:
     """Propagate a contact that starts at compression 0 with velocity v0.
 
     Lower-level entry point used by simulate_contact; taking v0 directly
@@ -218,19 +237,9 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
             sample_rate=float(sample_rate),
         )
 
-    period = 1.0 / float(sample_rate)
-    substeps = max(1, math.ceil(period / MAX_SUBSTEP_S))
+    period, substeps, max_records = _step_grid(sample_rate, max_time)
     dt = period / substeps
-    max_records = math.ceil(float(max_time) * float(sample_rate))
-
-    if params.natural_frequency * dt > math.pi:
-        raise NumericalError(
-            f"internal step {dt:.6g} s exceeds half the natural period "
-            f"{math.pi / params.natural_frequency:.6g} s; a rebound or "
-            f"collision could fall between steps",
-            time=dt,
-        )
-
+    _require_resolved(params, dt)
     t, x, v, a, e, term = _kernels.integrate_contact(
         params.mass, params.damping, params.stiffness, params.gravity,
         v0, float(clearance), dt, substeps, max_records,
@@ -248,11 +257,42 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
 
 
 def simulate_contact(params: ImpactParams, scenario: DropScenario,
-                     max_time: float = 1.0) -> Trajectory:
+                     max_time: float = MAX_TIME_S) -> Trajectory:
     """Simulate the ground contact of a drop described by `scenario`."""
     v0 = impact_velocity(scenario.drop_altitude, params.gravity)
     return simulate_impact(params, v0, scenario.clearance,
                            scenario.sample_rate, max_time)
+
+
+def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes,
+               use_raw_peak: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Peak accelerations [m/s²] and terminations of B x A drops, as two
+    (B, A) arrays, without their trajectories.
+
+    Entry (b, a) is the drop of `scenario` from altitudes[a] with damping
+    dampings[b]; params gives the mass, stiffness and gravity (its damping
+    and scenario.drop_altitude are not used). Each entry equals what
+    simulate_contact followed by filtered_peak (or peak_acceleration's raw
+    |a| when use_raw_peak) gives for that drop, and its termination; see
+    _kernels.contact_peaks for the rule that ends contacts early. Raises
+    NumericalError as simulate_impact does.
+    """
+    dampings = np.atleast_1d(np.asarray(dampings, dtype=np.float64))
+    if dampings.ndim != 1 or not np.all(np.isfinite(dampings) & (dampings >= 0.0)):
+        raise DomainError(f"dampings must be finite and >= 0, got {dampings!r}")
+    v0s = [impact_velocity(h, params.gravity) for h in altitudes]
+    period, substeps, max_records = _step_grid(scenario.sample_rate, MAX_TIME_S)
+    if any(v0s):  # zero-length contacts never step, as in simulate_impact
+        _require_resolved(params, period / substeps)
+
+    peaks, codes = _kernels.contact_peaks(
+        params.mass, dampings, params.stiffness, params.gravity, v0s,
+        scenario.clearance, period, substeps, max_records,
+        None if use_raw_peak else scenario.sensor_cutoff,
+    )
+    terminations = np.array([_TERM_FROM_CODE[int(c)] for c in codes.ravel()],
+                            dtype=object).reshape(codes.shape)
+    return peaks, terminations
 
 
 def analytic_solution(params: ImpactParams, v0: float, t):

@@ -25,8 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DropScenario, ImpactParams, Termination, simulate_contact
-from .errors import DomainError
+from .dynamics import (
+    DropScenario,
+    ImpactParams,
+    Termination,
+    drop_peaks,
+    simulate_contact,
+)
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,19 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
 
     Returns math.inf when no collision occurs up to altitude_cap. Resolution
     is `tolerance` (1 mm by default); assumes the collision outcome is
-    monotone in altitude, which holds for this linear contact model.
+    monotone in altitude, which holds for this linear contact model. Each
+    step asks drop_peaks for the outcome, along with the raw peak that needs
+    no filter, so a contact that settles inside the stroke stops early.
     """
+    if not (math.isfinite(altitude_cap) and altitude_cap > 0.0):
+        raise ConfigurationError(f"altitude_cap must be > 0, got {altitude_cap}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
+
     def collides(h: float) -> bool:
-        scenario = replace(scenario_template, drop_altitude=h)
-        return simulate_contact(params, scenario).termination is Termination.COLLISION
+        _, terminations = drop_peaks(params, scenario_template, [params.damping],
+                                     [h], use_raw_peak=True)
+        return terminations[0, 0] is Termination.COLLISION
 
     if not collides(altitude_cap):
         return math.inf

@@ -8,24 +8,29 @@ scan followed by golden-section refinement of the best cell. The peaks
 entering the loss are the sensor-filtered specific-force peaks by default
 (that is what the accelerometer records); raw |a| peaks are available behind
 a switch.
+
+Model peaks come from one batched evaluator, dynamics.drop_peaks: the grid
+and both bracket endpoints are one (66, A) call for A distinct altitudes,
+and each golden-section step is one (1, A) call. It propagates the contacts
+together and keeps no trajectory. A contact ends at its rebound or
+collision, or as soon as its outcome and peak can no longer change: the
+energy v**2/2 + w2*(x - x_eq)**2/2 never grows, so it bounds both the
+compression and every later |a - g|; once the compression bound lies inside
+the stroke and the acceleration bound below the peak so far, the contact
+would run to max_time without a new peak (for a filter with
+tan(pi*fc/fs) <= 1, whose output never exceeds its inputs and its last
+output). The peaks are the full trajectories' peaks bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    STANDARD_GRAVITY,
-    DropScenario,
-    ImpactParams,
-    peak_acceleration,
-    simulate_contact,
-)
+from .dynamics import STANDARD_GRAVITY, DropScenario, ImpactParams, drop_peaks
 from .errors import ConfigurationError, DegenerateDataError, DomainError
-from .sensor import FilterSpec, filtered_peak
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,35 +112,42 @@ def estimate_stiffness(samples: list[StaticDeflectionSample]) -> float:
 
 def model_peak(params: ImpactParams, scenario: DropScenario,
                use_raw_peak: bool = False) -> float:
-    """Model-predicted peak acceleration [m/s²] for one drop: contact
-    simulation followed by the sensor filter (or raw |a| when requested)."""
-    traj = simulate_contact(params, scenario)
-    if use_raw_peak:
-        return peak_acceleration(traj, params.gravity).raw
-    return filtered_peak(traj, FilterSpec.from_scenario(scenario), params.gravity)
+    """Model-predicted peak acceleration [m/s²] for one drop: the sensor-
+    filtered peak of its contact (or raw |a| when requested)."""
+    peaks, _ = drop_peaks(params, scenario, [params.damping],
+                          [scenario.drop_altitude], use_raw_peak)
+    return float(peaks[0, 0])
 
 
-def _peaks_by_altitude(damping: float, setup: FitSetup,
-                       altitudes: set[float]) -> dict[float, float]:
-    params = setup.params_with(damping)
-    return {h: model_peak(params, replace(setup.scenario, drop_altitude=h),
-                          setup.use_raw_peak)
-            for h in sorted(altitudes)}
+def _model_peaks(setup: FitSetup, dampings, altitudes) -> np.ndarray:
+    """(B, A) model peaks [m/s²] of every (damping, altitude) pair."""
+    peaks, _ = drop_peaks(setup.params_with(0.0), setup.scenario, dampings,
+                          altitudes, setup.use_raw_peak)
+    return peaks
+
+
+def _mse(peaks: np.ndarray, measured: np.ndarray) -> float:
+    return float(np.mean(np.square(peaks - measured)))
+
+
+def _loss_columns(observations: list[PeakObservation]):
+    """Distinct altitudes, each observation's column among them, and the
+    measured peaks: model peaks for repeated altitudes are computed once."""
+    altitudes = sorted({o.drop_altitude for o in observations})
+    column = {h: i for i, h in enumerate(altitudes)}
+    return (altitudes, [column[o.drop_altitude] for o in observations],
+            np.array([o.measured_peak for o in observations]))
 
 
 def mse_loss(damping: float, setup: FitSetup,
              observations: list[PeakObservation]) -> float:
-    """Mean squared error [(m/s²)²] between model peaks and measured peaks.
-
-    Model peaks for repeated altitudes are computed once per call.
-    """
+    """Mean squared error [(m/s²)²] between model peaks and measured peaks."""
     if not observations:
         raise DomainError("observation list is empty")
     if not (math.isfinite(damping) and damping >= 0.0):
         raise DomainError(f"damping must be >= 0, got {damping}")
-    peaks = _peaks_by_altitude(damping, setup, {o.drop_altitude for o in observations})
-    residuals = [peaks[o.drop_altitude] - o.measured_peak for o in observations]
-    return float(np.mean(np.square(residuals)))
+    altitudes, columns, measured = _loss_columns(observations)
+    return _mse(_model_peaks(setup, [damping], altitudes)[0, columns], measured)
 
 
 def fit_damping(setup: FitSetup, observations: list[PeakObservation],
@@ -159,24 +171,28 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
 
-    evaluations = 0
+    altitudes, columns, measured = _loss_columns(observations)
+
+    def losses(dampings) -> list[float]:
+        peaks = _model_peaks(setup, dampings, altitudes)
+        return [_mse(row[columns], measured) for row in peaks]
 
     def loss(c: float) -> float:
-        return mse_loss(c, setup, observations)
+        return losses([c])[0]
 
-    # coarse scan: log-spaced grid above c_low (log spacing needs a positive start)
-    eps = max(1e-3, 1e-6 * (c_high - c_low))
+    # coarse scan: log-spaced grid above c_low (log spacing needs a positive
+    # start), evaluated in one batch with both endpoints
+    eps = min(max(1e-3, 1e-6 * (c_high - c_low)), 0.5 * (c_high - c_low))
     grid = np.geomspace(c_low + eps, c_high, 64)
-    grid_losses = [loss(c) for c in grid]
-    evaluations += len(grid)
+    scan = losses([*grid, c_low, c_high])
+    grid_losses = scan[:len(grid)]
+    evaluations = len(scan)
 
     best_c = float(grid[int(np.argmin(grid_losses))])
     best_f = float(min(grid_losses))
 
     # endpoints, so the result provably beats both
-    for c_end in (c_low, c_high):
-        f_end = loss(c_end)
-        evaluations += 1
+    for c_end, f_end in zip((c_low, c_high), scan[len(grid):]):
         if f_end < best_f:
             best_c, best_f = c_end, f_end
 
@@ -188,8 +204,7 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
         a = c_low
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    f1 = loss(x1)
-    f2 = loss(x2)
+    f1, f2 = losses([x1, x2])
     evaluations += 2
     if f1 < best_f:
         best_c, best_f = x1, f1

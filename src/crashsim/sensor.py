@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import prewarped_gain
 from .dynamics import DropScenario, Trajectory
 from .errors import ConfigurationError, DomainError
 
@@ -63,11 +64,6 @@ class SignalTrace:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-def prewarped_gain(cutoff: float, dt: float) -> float:
-    """Bilinear-transform coefficient tan(pi * fc * dt) for one step of dt."""
-    return math.tan(math.pi * cutoff * dt)
 
 
 def lowpass_filter(trace: SignalTrace, spec: FilterSpec) -> SignalTrace:

@@ -160,6 +160,21 @@ class TestFit:
         assert result["bracket"] == [30.0, 60.0]
 
 
+    def test_narrow_bracket_result_inside(self, tmp_path):
+        run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "100",
+                "--repeats", "2")
+        assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                       "--stiffness", "7040", "--c-high", "0.0005") == 0
+        result = json.loads((tmp_path / "fit.json").read_text())
+        assert 0.0 <= result["damping"] <= 0.0005
+
+    def test_numerical_blowup_exit_3(self, tmp_path):
+        (tmp_path / "peaks.csv").write_text("altitude_cm,peak_ms2,label\n100,500,a\n")
+        assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                       "--mass", "1e-8", "--stiffness", "1e150",
+                       "--sample-rate-hz", "1500") == 3
+
+
 class TestEnergy:
     def test_reference_curve(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy",
@@ -189,6 +204,10 @@ class TestEnergy:
                        "--clearance-mm", "1000", "--threshold-cap-m", "50") == 0
         report = json.loads((tmp_path / "energy.json").read_text())
         assert report["collision_threshold_altitude_m"] is None
+
+    def test_nonpositive_threshold_cap_exit_2(self, tmp_path):
+        assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "100",
+                       "--threshold-cap-m", "0") == 2
 
     def test_bad_altitude_list_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "50,oops") == 2

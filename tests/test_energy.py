@@ -3,14 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashsim import (
+    ConfigurationError,
     DomainError,
     DropScenario,
     ImpactParams,
     Termination,
     altitude_energy_ratio,
     collision_threshold_altitude,
+    drop_peaks,
     energy_distribution_curve,
     energy_partition,
     simulate_contact,
@@ -191,6 +195,38 @@ class TestCollisionThreshold:
         assert swept_stiff > swept_soft
         bisected_stiff = collision_threshold_altitude(stiff, make_scenario(0.0))
         assert abs(bisected_stiff - swept_stiff) <= 0.011
+
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan, math.inf])
+    def test_invalid_tolerance_rejected(self, reference_params, make_scenario,
+                                        tolerance):
+        # a zero tolerance used to stall the bisection once hi and lo were
+        # adjacent floats
+        with pytest.raises(ConfigurationError):
+            collision_threshold_altitude(reference_params, make_scenario(0.0),
+                                         tolerance=tolerance)
+
+    @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan, math.inf])
+    def test_invalid_altitude_cap_rejected(self, reference_params, make_scenario, cap):
+        with pytest.raises(ConfigurationError):
+            collision_threshold_altitude(reference_params, make_scenario(0.0),
+                                         altitude_cap=cap)
+
+    # the bisection assumes that once a drop collides every higher drop does
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.floats(0.05, 2.0),
+           zeta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0),
+           stiffness=st.floats(1000.0, 40000.0),
+           clearance=st.floats(0.002, 0.05),
+           altitudes=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=12))
+    def test_collision_monotone_in_altitude(self, mass, zeta, stiffness, clearance,
+                                            altitudes):
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        altitudes = sorted(altitudes)
+        _, terminations = drop_peaks(params, DropScenario(0.0, clearance=clearance),
+                                     [params.damping], altitudes, use_raw_peak=True)
+        collided = [t is Termination.COLLISION for t in terminations[0]]
+        assert collided == sorted(collided)
 
 
 class TestAltitudeEnergyRatio:

@@ -9,6 +9,7 @@ from crashsim import (
     FitSetup,
     PeakObservation,
     StaticDeflectionSample,
+    drop_peaks,
     estimate_stiffness,
     fit_damping,
     model_peak,
@@ -107,6 +108,17 @@ class TestModelPeak:
         assert raw != filtered
 
 
+    def test_batch_matches_single_drops(self):
+        dampings, altitudes = [0.0, 46.0, 200.0], [0.0, 0.5, 1.5]
+        peaks, _ = drop_peaks(REFERENCE_SETUP.params_with(0.0), DropScenario(0.0),
+                              dampings, altitudes)
+        assert peaks.shape == (3, 3)
+        for b, c in enumerate(dampings):
+            for a, h in enumerate(altitudes):
+                assert peaks[b, a] == model_peak(REFERENCE_SETUP.params_with(c),
+                                                 DropScenario(h))
+
+
 class TestMseLoss:
     def test_zero_on_self_generated_data(self):
         observations = synthetic_observations(46.0, [0.5, 1.0], repeats=3)
@@ -154,6 +166,14 @@ class TestFitDamping:
         observations = synthetic_observations(20.0, [0.5, 1.0], repeats=2)
         result = fit_damping(REFERENCE_SETUP, observations, bracket=(20.0, 100.0))
         assert result.damping == pytest.approx(20.0, abs=0.02)
+        assert result.at_boundary
+
+    @pytest.mark.parametrize("bracket", [(0.0, 0.0005), (10.0, 10.0004)])
+    def test_narrow_bracket_result_inside(self, bracket):
+        # the log grid used to start 1e-3 above c_low, outside a narrower bracket
+        observations = synthetic_observations(46.0, [0.5, 1.0])
+        result = fit_damping(REFERENCE_SETUP, observations, bracket=bracket)
+        assert bracket[0] <= result.damping <= bracket[1]
         assert result.at_boundary
 
     @pytest.mark.parametrize("bracket", [(-1.0, 10.0), (5.0, 5.0), (10.0, 2.0)])

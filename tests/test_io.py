@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashsim import (
     ConfigurationError,
@@ -79,6 +84,39 @@ class TestPeaksCsv:
         path.write_text("altitude_cm,peak_ms2,label\n")
         with pytest.raises(DomainError):
             io.read_peaks_csv(path)
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(1e-4, 1e3), st.floats(1e-3, 1e6),
+                                   st.text("abcxyz_019", max_size=8)),
+                         min_size=1, max_size=20),
+           unit=st.sampled_from(["ms2", "g"]))
+    def test_peaks_identity_at_12_digits(self, rows, unit):
+        observations = [PeakObservation(h, peak, label) for h, peak, label in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            io.write_peaks_csv(first, observations, unit=unit)
+            parsed = io.read_peaks_csv(first)
+            io.write_peaks_csv(second, parsed, unit=unit)
+            assert second.read_text() == first.read_text()
+        for before, after in zip(observations, parsed, strict=True):
+            assert after.drop_altitude == pytest.approx(before.drop_altitude, rel=1e-11)
+            assert after.measured_peak == pytest.approx(before.measured_peak, rel=1e-11)
+            assert after.label == before.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=20))
+    def test_statics_identity_at_12_digits(self, rows):
+        samples = [StaticDeflectionSample(f, x) for f, x in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "statics.csv"
+            io.write_statics_csv(path, samples)
+            parsed = io.read_statics_csv(path)
+        for before, after in zip(samples, parsed, strict=True):
+            assert after.force == float(io.fmt(before.force))
+            assert after.deflection == float(io.fmt(before.deflection))
 
 
 class TestStaticsCsv:

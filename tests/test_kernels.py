@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from crashsim import (
     DropScenario,
+    FilterSpec,
     ImpactParams,
+    NumericalError,
     Termination,
     analytic_solution,
+    drop_peaks,
+    filtered_peak,
+    peak_acceleration,
     simulate_contact,
     simulate_impact,
 )
@@ -131,3 +136,89 @@ class TestLowpassMatchesLoop:
         np.testing.assert_allclose(_kernels.lowpass(values, 0.0787, k_last),
                                    lowpass_loop(values, 0.0787, k_last),
                                    rtol=1e-12, atol=1e-12)
+
+
+def full_trajectory_outcome(params, scenario, use_raw_peak):
+    """Peak and termination read from the whole simulated trajectory."""
+    traj = simulate_contact(params, scenario)
+    if use_raw_peak:
+        return peak_acceleration(traj, params.gravity).raw, traj.termination
+    return (filtered_peak(traj, FilterSpec.from_scenario(scenario), params.gravity),
+            traj.termination)
+
+
+class TestBatchedPeaksMatchTrajectories:
+    # soft frames, strokes near the static deflection x_eq = m*g/k and drops
+    # of millimetres let contacts settle with their outcome still open; 1500
+    # Hz is below 4x the 500 Hz cutoff, so k = tan(pi*fc/fs) > 1 and the
+    # filter can overshoot its inputs
+    @settings(max_examples=80, deadline=None)
+    @given(mass=st.floats(0.03, 3.0),
+           zeta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 8.0),
+           stiffness=st.floats(100.0, 50000.0),
+           stroke=st.floats(0.9, 100.0),
+           altitude=st.just(0.0) | st.floats(-5.0, 1.3).map(lambda e: 10.0 ** e),
+           sample_rate=st.sampled_from([1500.0, 5000.0, 20000.0, 100000.0]),
+           use_raw_peak=st.booleans())
+    def test_single_drop(self, mass, zeta, stiffness, stroke, altitude, sample_rate,
+                         use_raw_peak):
+        params = params_at(zeta, mass, stiffness)
+        scenario = DropScenario(altitude, clearance=stroke * mass * 9.81 / stiffness,
+                                sample_rate=sample_rate)
+        peaks, terminations = drop_peaks(params, scenario, [params.damping],
+                                         [altitude], use_raw_peak)
+        peak, termination = full_trajectory_outcome(params, scenario, use_raw_peak)
+        assert peaks[0, 0] == peak
+        assert terminations[0, 0] is termination
+
+    # contacts whose outcome or raw peak comes after 0.1 s, two chunks or
+    # more: a late collision, a late rebound, a late raw peak
+    @pytest.mark.parametrize("mass,damping,stiffness,altitude,clearance,sample_rate", [
+        (0.0623, 40.16, 150.97, 0.02162, 0.003675, 20000.0),
+        (0.319, 5.207, 281.03, 0.2327, 0.8209, 5000.0),
+        (1.1299, 0.892, 113.48, 0.01079, 0.5006, 20000.0),
+    ])
+    @pytest.mark.parametrize("use_raw_peak", [False, True])
+    def test_late_outcomes(self, mass, damping, stiffness, altitude, clearance,
+                           sample_rate, use_raw_peak):
+        params = ImpactParams(mass, damping, stiffness)
+        scenario = DropScenario(altitude, clearance=clearance, sample_rate=sample_rate)
+        peaks, terminations = drop_peaks(params, scenario, [params.damping],
+                                         [altitude], use_raw_peak)
+        peak, termination = full_trajectory_outcome(params, scenario, use_raw_peak)
+        assert simulate_contact(params, scenario).time[-1] > 0.1
+        assert peaks[0, 0] == peak
+        assert terminations[0, 0] is termination
+
+    @pytest.mark.parametrize("sample_rate", [1500.0, 5000.0, 20000.0, 100000.0])
+    @pytest.mark.parametrize("use_raw_peak", [False, True])
+    def test_grid_of_drops(self, sample_rate, use_raw_peak):
+        # zeta 0, the exactly critical set and overdamped rows; rebounds,
+        # collisions and horizon runs, including h = 0
+        dampings = [0.0, 1e-3, 40.0, 400.0, 1000.0, 2000.0]
+        altitudes = [0.0, 0.05, 0.5, 5.0, 20.0]
+        scenario = DropScenario(0.0, clearance=0.002, sample_rate=sample_rate)
+        params = ImpactParams(mass=1.0, damping=0.0, stiffness=40000.0)
+        peaks, terminations = drop_peaks(params, scenario, dampings, altitudes,
+                                         use_raw_peak=use_raw_peak)
+        assert peaks.shape == terminations.shape == (len(dampings), len(altitudes))
+        seen = set()
+        for b, c in enumerate(dampings):
+            for a, h in enumerate(altitudes):
+                peak, termination = full_trajectory_outcome(
+                    ImpactParams(1.0, c, 40000.0), DropScenario(h, clearance=0.002,
+                                                                sample_rate=sample_rate),
+                    use_raw_peak)
+                assert peaks[b, a] == peak, (c, h)
+                assert terminations[b, a] is termination, (c, h)
+                seen.add(termination)
+        assert seen == set(Termination)
+
+    def test_unresolved_step_raises(self):
+        params = ImpactParams(mass=1e-8, damping=0.0, stiffness=1e150)
+        with pytest.raises(NumericalError):
+            drop_peaks(params, DropScenario(1.0, sample_rate=1500.0), [0.0], [1.0])
+        # a zero-length contact takes no step, as in simulate_contact
+        peaks, terminations = drop_peaks(params, DropScenario(0.0, sample_rate=1500.0),
+                                         [0.0], [0.0])
+        assert terminations[0, 0] is Termination.REBOUND

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashsim import (
     ConfigurationError,
@@ -17,6 +19,7 @@ from crashsim import (
     peak_acceleration,
     simulate_contact,
 )
+from crashsim import _kernels
 
 FS = 20000.0
 FC = 500.0
@@ -113,6 +116,38 @@ class TestLowpassFilter:
         separate = (alpha * lowpass_filter(make_trace(u), spec).values
                     + beta * lowpass_filter(make_trace(w), spec).values)
         assert np.max(np.abs(combined - separate)) < 1e-12 * np.max(np.abs(combined))
+
+    @settings(max_examples=60, deadline=None)
+    # subnormal levels carry too few digits for a relative bound
+    @given(level=st.just(0.0) | st.floats(1e-280, 1e6) | st.floats(-1e6, -1e-280),
+           n=st.integers(1, 5000),
+           ratio=st.floats(2.01, 5000.0),
+           last_share=st.floats(0.01, 1.0))
+    def test_dc_gain_is_unity_for_any_rate(self, level, n, ratio, last_share):
+        # ratio = fs/fc; a short final step (event-terminated trace) too
+        k_mid = math.tan(math.pi / ratio)
+        k_last = math.tan(math.pi / ratio * last_share)
+        out = _kernels.lowpass(np.full(n, level), k_mid, k_last)
+        # rounding grows with the recurrence's memory 1/(1 - |r|) ~ (k + 1/k)/2
+        bound = 8.0 * (k_mid + 1.0 / k_mid) * np.finfo(float).eps * abs(level)
+        assert np.max(np.abs(out - level)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=2000),
+           seed=st.integers(0, 2**32 - 1),
+           alpha=st.floats(-10.0, 10.0),
+           beta=st.floats(-10.0, 10.0),
+           ratio=st.floats(2.01, 5000.0))
+    def test_linear_for_any_signals(self, u, seed, alpha, beta, ratio):
+        u = np.array(u)
+        w = np.random.default_rng(seed).normal(scale=100.0, size=u.size)
+        k = math.tan(math.pi / ratio)
+        combined = _kernels.lowpass(alpha * u + beta * w, k, k)
+        separate = alpha * _kernels.lowpass(u, k, k) + beta * _kernels.lowpass(w, k, k)
+        # the error of each sum scales with its terms, which can cancel;
+        # subnormal terms carry no relative precision
+        scale = abs(alpha) * np.max(np.abs(u)) + abs(beta) * np.max(np.abs(w))
+        assert np.max(np.abs(combined - separate)) <= 1e-12 * scale + 1e-300
 
     def test_matches_scipy_butterworth(self):
         # independent oracle: scipy's bilinear-prewarped first-order butter
