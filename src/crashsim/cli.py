@@ -22,6 +22,7 @@ import numpy as np
 
 from . import io
 from .dynamics import (
+    MAX_TIME_S,
     DropScenario,
     ImpactParams,
     drop_peaks,
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_sim)
     _add_scenario_args(p_sim)
     p_sim.add_argument("--altitude-cm", type=float, required=True)
-    p_sim.add_argument("--max-time", type=float, default=1.0,
+    p_sim.add_argument("--max-time", type=float, default=MAX_TIME_S,
                        help="simulation horizon [s]")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    MAX_TIME_S,
     DropScenario,
     ImpactParams,
     Termination,
@@ -69,7 +70,7 @@ class EnergyBreakdown:
 
 
 def energy_partition(params: ImpactParams, scenario: DropScenario,
-                     max_time: float = 1.0) -> EnergyBreakdown:
+                     max_time: float = MAX_TIME_S) -> EnergyBreakdown:
     """Simulate one drop and partition its energy budget."""
     traj = simulate_contact(params, scenario, max_time)
     m, k, g = params.mass, params.stiffness, params.gravity

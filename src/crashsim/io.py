@@ -2,9 +2,13 @@
 
 All files are headered CSV with unit-suffixed column names; values are
 written with 12 significant digits so write-then-read is an identity at that
-precision. Writes are atomic (temp file in the target directory, then
-rename). Peaks files store m/s² in a ``peak_ms2`` column; a ``peak_g``
-column (1 g = 9.80665 m/s²) is accepted on read and written when requested.
+precision. Every CSV goes through one writer, which renders BLOCK_ROWS rows
+per ``%`` of a repeated row template and streams each block to the file, so
+no more than one block's text is held in memory. Writes are atomic (temp
+file in the target directory, then rename). Peaks files store m/s² in a
+``peak_ms2`` column; a ``peak_g`` column (1 g = 9.80665 m/s²) is accepted on
+read and written when requested. Labels holding a comma, a quote or a line
+break are quoted as the csv module quotes them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +38,25 @@ ENERGY_COLUMNS = ("altitude_m", "e_spring_j", "e_damper_j", "e_collision_j",
                   "frac_spring", "frac_damper", "frac_collision")
 
 
+# the one 12-significant-digit float format; "%.12g" % x and format(x, ".12g")
+# render the same digits
+_FLOAT = "%.12g"
+BLOCK_ROWS = 4096  # rows rendered per `%` call: bounds the text held in memory
+
+
 def fmt(value: float) -> str:
-    return format(float(value), ".12g")
+    return _FLOAT % float(value)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """A text handle on a temp file next to `path`, renamed over `path` when
+    the block exits cleanly and removed when it raises."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -50,15 +64,32 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
+
+
 def write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _quote(field: str) -> str:
+    """The csv module's minimal quoting: a field holding a comma, a quote or
+    a line break is quoted, with its quotes doubled."""
+    if any(ch in field for ch in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _write_csv(path: Path, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
+    """Atomically write a headered CSV of equal-length columns: float columns
+    at 12 significant digits, object columns (already quoted text) as is."""
+    template = ",".join("%s" if c.dtype == object else _FLOAT for c in columns) + "\n"
+    with _atomic_open(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            block = np.column_stack([c[start:start + BLOCK_ROWS] for c in columns])
+            handle.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_peaks_csv(path: Path, observations: list[PeakObservation],
@@ -71,9 +102,11 @@ def write_peaks_csv(path: Path, observations: list[PeakObservation],
         scale = 1.0 / G_UNIT
     else:
         raise ConfigurationError(f"unknown peak unit {unit!r} (expected 'ms2' or 'g')")
-    rows = ((fmt(o.drop_altitude * 100.0), fmt(o.measured_peak * scale), o.label)
-            for o in observations)
-    atomic_write_text(path, _render_csv(header, rows))
+    _write_csv(path, header, [
+        np.array([o.drop_altitude for o in observations]) * 100.0,
+        np.array([o.measured_peak for o in observations]) * scale,
+        np.array([_quote(o.label) for o in observations], dtype=object),
+    ])
 
 
 def _read_rows(path: Path, expected_any: list[tuple[str, ...]]):
@@ -135,8 +168,8 @@ def read_peaks_csv(path: Path) -> list[PeakObservation]:
 
 
 def write_statics_csv(path: Path, samples: list[StaticDeflectionSample]) -> None:
-    rows = ((fmt(s.force), fmt(s.deflection)) for s in samples)
-    atomic_write_text(path, _render_csv(STATICS_COLUMNS, rows))
+    _write_csv(path, STATICS_COLUMNS, [np.array([s.force for s in samples]),
+                                       np.array([s.deflection for s in samples])])
 
 
 def read_statics_csv(path: Path) -> list[StaticDeflectionSample]:
@@ -160,19 +193,13 @@ def read_statics_csv(path: Path) -> list[StaticDeflectionSample]:
 
 def write_trajectory_csv(path: Path, traj: Trajectory,
                          filtered: np.ndarray) -> None:
-    rows = (
-        (fmt(t), fmt(x), fmt(v), fmt(a), fmt(af))
-        for t, x, v, a, af in zip(traj.time, traj.compression, traj.velocity,
-                                  traj.acceleration, filtered)
-    )
-    atomic_write_text(path, _render_csv(TRAJECTORY_COLUMNS, rows))
+    _write_csv(path, TRAJECTORY_COLUMNS, [traj.time, traj.compression, traj.velocity,
+                                          traj.acceleration, np.asarray(filtered)])
 
 
 def write_energy_csv(path: Path,
                      curve: list[tuple[float, EnergyBreakdown]]) -> None:
-    rows = (
-        (fmt(h), fmt(eb.spring), fmt(eb.damper), fmt(eb.collision),
-         fmt(eb.frac_spring), fmt(eb.frac_damper), fmt(eb.frac_collision))
-        for h, eb in curve
-    )
-    atomic_write_text(path, _render_csv(ENERGY_COLUMNS, rows))
+    rows = [(h, eb.spring, eb.damper, eb.collision,
+             eb.frac_spring, eb.frac_damper, eb.frac_collision) for h, eb in curve]
+    _write_csv(path, ENERGY_COLUMNS,
+               list(np.array(rows, dtype=float).reshape(-1, len(ENERGY_COLUMNS)).T))

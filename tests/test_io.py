@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -17,7 +21,29 @@ from crashsim import (
     simulate_contact,
 )
 from crashsim import io
+from crashsim.dynamics import Termination, Trajectory
 from crashsim.energy import energy_distribution_curve
+
+
+def render_rows(header, rows) -> str:
+    """Oracle: the one-value-at-a-time rendering the block writer replaced."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".12g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Report only the first differing line: a diff of two 100 000-line texts
+    takes minutes."""
+    got, want = text.split("\n"), expected.split("\n")
+    for number, (line, wanted) in enumerate(zip(got, want), start=1):
+        assert line == wanted, f"line {number}"
+    assert len(got) == len(want)
+
+
+def make_trajectory(columns) -> Trajectory:
+    t, x, v, a = columns[:4]
+    return Trajectory(t, x, v, a, np.zeros(len(t)), Termination.REBOUND, 1.0, 1.0)
 
 
 class TestPeaksCsv:
@@ -85,11 +111,24 @@ class TestPeaksCsv:
         with pytest.raises(DomainError):
             io.read_peaks_csv(path)
 
+    @pytest.mark.parametrize("label", ["", "a", "a b", " a", "run 3, cam B", 'say "hi"', '"',
+                                       "a\rb", "a\nb", "a\tb", "a'b"])
+    def test_labels_quoted_as_the_csv_module_quotes(self, tmp_path, label):
+        path = tmp_path / "peaks.csv"
+        io.write_peaks_csv(path, [PeakObservation(0.5, 100.0, label)])
+        with open(path, newline="") as handle:
+            written = handle.read().split("\n", 1)[1]
+        with open(tmp_path / "oracle.csv", "w", newline="") as handle:
+            csv.writer(handle).writerow(["50", "100", label])  # ends rows with \r\n
+        with open(tmp_path / "oracle.csv", newline="") as handle:
+            assert written == handle.read().removesuffix("\r\n") + "\n"
+        assert io.read_peaks_csv(path)[0].label == label
+
 
 class TestCsvRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.tuples(st.floats(1e-4, 1e3), st.floats(1e-3, 1e6),
-                                   st.text("abcxyz_019", max_size=8)),
+                                   st.text('abcxyz_019 ,"', max_size=8)),
                          min_size=1, max_size=20),
            unit=st.sampled_from(["ms2", "g"]))
     def test_peaks_identity_at_12_digits(self, rows, unit):
@@ -161,6 +200,72 @@ class TestTrajectoryAndEnergyCsv:
         assert len(lines) == 3
         last = lines[2].split(",")
         assert float(last[3]) > 0.0  # 20 m drop carries collision energy
+
+
+class TestBlockWriter:
+    """The block writer renders byte for byte what one `format(v, ".12g")`
+    per value rendered."""
+
+    @pytest.mark.parametrize("rows", [1, io.BLOCK_ROWS - 1, io.BLOCK_ROWS,
+                                      io.BLOCK_ROWS + 1])
+    def test_identity_at_block_edges(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+                   for _ in range(5)]
+        path = tmp_path / "trajectory.csv"
+        io.write_trajectory_csv(path, make_trajectory(columns), columns[4])
+        assert_same_text(path.read_text(), render_rows(io.TRAJECTORY_COLUMNS, zip(*columns)))
+
+    def test_identity_on_a_100_khz_horizon_trajectory(self, tmp_path, reference_params):
+        params = dataclasses.replace(reference_params, damping=150.0)
+        scenario = DropScenario(0.2, sample_rate=100_000.0)
+        traj = simulate_contact(params, scenario)
+        assert len(traj) == 100_001
+        filtered = filtered_series(traj, FilterSpec.from_scenario(scenario), 9.81)
+        path = tmp_path / "trajectory.csv"
+        io.write_trajectory_csv(path, traj, filtered)
+        columns = (traj.time, traj.compression, traj.velocity, traj.acceleration, filtered)
+        assert_same_text(path.read_text(), render_rows(io.TRAJECTORY_COLUMNS, zip(*columns)))
+
+    def test_identity_on_edge_values(self, tmp_path):
+        edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-300,
+                         123456789012.5, 0.1, math.inf, -math.inf, math.nan])
+        columns = [edge, edge[::-1].copy(), np.roll(edge, 3), np.roll(edge, 5), -edge]
+        path = tmp_path / "trajectory.csv"
+        io.write_trajectory_csv(path, make_trajectory(columns), columns[4])
+        assert_same_text(path.read_text(), render_rows(io.TRAJECTORY_COLUMNS, zip(*columns)))
+        for value in edge:
+            assert io.fmt(value) == format(float(value), ".12g")
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("previous contents\n")
+        rows = 2 * io.BLOCK_ROWS
+        columns = [np.arange(rows, dtype=float)] * 5
+        real_fdopen = os.fdopen
+        written = []
+
+        def fdopen_failing_after_first_block(*args, **kwargs):
+            handle = real_fdopen(*args, **kwargs)
+            real_write = handle.write
+
+            def write(text):
+                if len(written) == 2:  # the header and one block are out
+                    handle.flush()
+                    assert any(p.suffix == ".tmp" for p in tmp_path.iterdir())
+                    raise OSError("disk full")
+                written.append(text)
+                return real_write(text)
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", fdopen_failing_after_first_block)
+        with pytest.raises(OSError, match="disk full"):
+            io.write_trajectory_csv(path, make_trajectory(columns), columns[4])
+        assert written[1].count("\n") == io.BLOCK_ROWS
+        assert path.read_bytes() == b"previous contents\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestAtomicWrite:
