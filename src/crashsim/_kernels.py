@@ -1,18 +1,21 @@
-"""Hot paths: exact contact propagation, batched peak evaluation and the
-first-order IIR filter.
+"""Hot paths: exact contact propagation and the first-order IIR filter.
 
-All three are numpy-vectorised; none loops over samples in Python.
+Both are numpy-vectorised; neither loops over samples in Python.
 
 The contact ODE m*x'' + c*x' + k*x = m*g is linear and time-invariant, so the
 offset state y = (x - m*g/k, v) obeys y' = A*y with A = [[0, 1], [-w2, -2a]],
 w2 = k/m and a = c/(2m), and advances exactly by Phi(h) = exp(A*h) per step.
 Phi is evaluated in the form exp(-a*t) * (C(t)*I + S(t)*(A + a*I)), whose
 C and S are continuous through critical damping (Moler & Van Loan, "Nineteen
-dubious ways to compute the exponential of a matrix", SIAM Rev. 2003). The
-damper energy dissipated over one step from y is y'Qy with
-Q(h) = integral of Phi(s)' diag(0, c) Phi(s) ds over [0, h], taken from Van
-Loan's block exponential ("Computing integrals involving the matrix
-exponential", IEEE TAC 1978) and never from the energy balance.
+dubious ways to compute the exponential of a matrix", SIAM Rev. 2003).
+
+One chunk loop, propagate_contacts, serves every caller: it gives the peak
+and the outcome of B x A contacts, and on request the samples of each. The
+damper energy is not propagated. The energy dissipated over a step of h from
+y is y'Qy with Q(h) = integral of Phi(s)' diag(0, c) Phi(s) ds over [0, h];
+damper_gram takes Q from Van Loan's block exponential ("Computing integrals
+involving the matrix exponential", IEEE TAC 1978), never from the energy
+balance, so a caller sums it over the sampled states.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-# termination codes returned by integrate_contact
+# termination codes returned by propagate_contacts
 TERM_REBOUND = 0
 TERM_COLLISION = 1
 TERM_MAX_TIME = 2
@@ -29,7 +32,7 @@ TERM_MAX_TIME = 2
 # steps propagated per numpy pass; bounds the temporaries of one call
 CHUNK_STEPS = 512
 
-# contacts that contact_peaks propagates together in one numpy pass, so a
+# contacts that propagate_contacts advances together in one numpy pass, so a
 # pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is
 ROW_BLOCK = 8
 
@@ -66,9 +69,9 @@ def _transition(alpha, w2, tau):
     return c_ + alpha * s_, s_, -w2 * s_, c_ - alpha * s_
 
 
-def _damper_gram(alpha, w2, damping, h):
+def damper_gram(alpha, w2, damping, h):
     """Symmetric Q(h) = integral over [0, h] of Phi(s)' diag(0, c) Phi(s) ds
-    as (q00, q01, q11), so a step from y dissipates y'Qy in the damper.
+    as (q00, q01, q11), so a step of h from y dissipates y'Qy in the damper.
 
     Van Loan: the top-right block G of exp([[-A', B], [0, A]]*tau) with
     B = diag(0, c) gives Q(tau) = Phi(tau)' G. The block is exponentiated by
@@ -79,7 +82,7 @@ def _damper_gram(alpha, w2, damping, h):
     """
     w = math.sqrt(w2)
     rate = 2.0 * w + 2.0 * alpha  # bounds the norm of the balanced A
-    s = max(0, math.ceil(math.log2(rate * h / 0.5)))
+    s = math.ceil(math.log2(rate * h / 0.5)) if rate * h > 0.5 else 0
     tau = h / 2.0 ** s
     theta = rate * tau
 
@@ -105,7 +108,7 @@ def _damper_gram(alpha, w2, damping, h):
     return w2 * q[0, 0], w * q[0, 1], q[1, 1]
 
 
-def _dissipated(q, y, v):
+def dissipated(q, y, v):
     """Damper energy y'Qy of steps that start from states (y, v)."""
     q00, q01, q11 = q
     return q00 * y * y + 2.0 * q01 * y * v + q11 * v * v
@@ -140,117 +143,31 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
     return float(tau)
 
 
-def _chunk_steps(total, substeps):
-    """Steps per numpy pass: whole records, about CHUNK_STEPS of them."""
-    return min(total, substeps * max(1, CHUNK_STEPS // substeps))
+def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
+                       period, substeps, max_records, cutoff=None, keep=False):
+    """Exact propagation of m*x'' + c*x' + k*x = m*g for every contact
+    (dampings[b], v0s[a]).
 
+    Returns the peak and the termination code of each contact as two (B, A)
+    arrays, and a third (B, A) array that holds each contact's samples
+    (t, x, v, a) when `keep` is set, else None. With `keep` the peaks are
+    not computed and read NaN: the caller has the samples.
 
-def _event_hits(x, clearance):
-    """Steps whose end is an event: compression reaching clearance from
-    below, or crossing zero downward. x holds a chunk's compressions on its
-    last axis, index 0 the carried state."""
-    hit = x[..., 1:] >= clearance
-    hit |= (x[..., 1:] <= 0.0) & (x[..., :-1] > 0.0)
-    return hit
-
-
-def _event(alpha, w2, x_eq, clearance, y0, v0, x_end, dt):
-    """(collided, tau, x, v) of the event inside the step of dt that starts
-    from the offset state (y0, v0) and ends at compression x_end."""
-    collided = bool(x_end >= clearance)
-    level = clearance if collided else 0.0
-    tau = _event_time(alpha, w2, x_eq - level, y0, v0, dt)
-    f00, f01, f10, f11 = _transition(alpha, w2, tau)
-    return collided, tau, x_eq + f00 * y0 + f01 * v0, f10 * y0 + f11 * v0
-
-
-def _acceleration(mass, damping, stiffness, gravity, x, v):
-    """a = g - (c*v + k*x)/m of states (x, v)."""
-    return gravity - (damping * v + stiffness * x) * (1.0 / mass)
-
-
-def integrate_contact(mass, damping, stiffness, gravity, v0, clearance,
-                      dt, substeps, max_records):
-    """Exact propagation of m*x'' + c*x' + k*x = m*g during contact.
-
-    Advances on steps of dt and records every `substeps`-th state, so the
-    recorded grid has spacing substeps*dt (the scenario sampling period).
-    The damper energy accumulates y'Q(dt)y per step.
-
-    Termination events (compression reaching `clearance` from below, or
-    crossing zero downward after compression) are bracketed on the step grid;
-    the event time is the root of the closed form inside its step, and the
-    final sample holds the exact state there.
-
-    Returns (t, x, v, a, e, termination_code).
-    """
-    alpha = 0.5 * damping / mass
-    w2 = stiffness / mass
-    x_eq = gravity / w2
-
-    total = max_records * substeps
-    chunk = _chunk_steps(total, substeps)
-    p00, p01, p10, p11 = _transition(alpha, w2, dt * np.arange(chunk + 1))
-    q = _damper_gram(alpha, w2, damping, dt)
-
-    times, xs, vs, es = [np.zeros(1)], [np.zeros(1)], [np.array([v0])], [np.zeros(1)]
-    y0, y1, e0 = -x_eq, v0, 0.0
-    term = TERM_MAX_TIME
-    done = 0
-    while done < total:
-        # states at steps done .. done+chunk; index 0 repeats the carried state
-        y = p00 * y0 + p01 * y1
-        v = p10 * y0 + p11 * y1
-        e = np.concatenate(([e0], e0 + np.cumsum(_dissipated(q, y[:-1], v[:-1]))))
-        x = x_eq + y
-        first = np.flatnonzero(_event_hits(x, clearance))
-        end = int(first[0]) + 1 if first.size else chunk + 1
-
-        record = slice(substeps, end, substeps)
-        times.append(dt * (done + np.arange(substeps, end, substeps)))
-        xs.append(x[record])
-        vs.append(v[record])
-        es.append(e[record])
-
-        if first.size:
-            j = end - 1  # the event step starts from state j
-            collided, tau, x_ev, v_ev = _event(alpha, w2, x_eq, clearance,
-                                               y[j], v[j], x[end], dt)
-            times.append([(done + j) * dt + tau])
-            xs.append([x_ev])
-            vs.append([v_ev])
-            gram = _damper_gram(alpha, w2, damping, tau)
-            es.append([e[j] + _dissipated(gram, y[j], v[j])])
-            term = TERM_COLLISION if collided else TERM_REBOUND
-            break
-
-        y0, y1, e0 = y[-1], v[-1], e[-1]
-        done += chunk
-        if total - done < chunk:
-            chunk = total - done
-            p00, p01, p10, p11 = (p[:chunk + 1] for p in (p00, p01, p10, p11))
-
-    t, x, v, e = (np.concatenate(parts) for parts in (times, xs, vs, es))
-    del times, xs, vs, es  # drop the chunk copies before the last temporaries
-    a = _acceleration(mass, damping, stiffness, gravity, x, v)
-    return t, x, v, a, e, term
-
-
-def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
-                  period, substeps, max_records, cutoff=None):
-    """Peak and termination code of every contact (dampings[b], v0s[a]),
-    as two (B, A) arrays, without keeping trajectories or damper energy.
-
-    Each contact is the one integrate_contact propagates on steps of
-    dt = period/substeps, through the same _chunk_steps, _event_hits and
-    _event, so every sample is the same. A v0 of 0 is a zero-length contact, as in
-    simulate_impact. The peak is the largest |a| when cutoff is None, else
-    the largest |lowpass| output of |a - g| with k = tan(pi*cutoff*period).
+    A contact starts at x = 0 with velocity v0 and advances on steps of
+    dt = period/substeps; every substeps-th state is a sample. Termination
+    events (compression reaching `clearance` from below, or crossing zero
+    downward after compression) are bracketed on the step grid; the event
+    time is the root of the closed form inside its step, and the last sample
+    holds the exact state there. Without an event a contact ends after
+    max_records periods. A v0 of 0 is a zero-length contact, whose one
+    sample is its initial state. The peak is the largest |a| when cutoff is
+    None, else the largest |lowpass| output of |a - g| with
+    k = tan(pi*cutoff*period).
 
     ROW_BLOCK contacts advance together, one chunk per numpy pass; a
-    finished contact hands its row to the next. A contact stops at its
-    event, or at the first chunk boundary where neither its outcome nor its
-    peak can change any more. With y = x - x_eq and w2 = k/m:
+    finished contact hands its row to the next. Unless `keep` is set, a
+    contact also stops at the first chunk boundary where neither its outcome
+    nor its peak can change any more. With y = x - x_eq and w2 = k/m:
 
     - E = v**2/2 + w2*y**2/2 never grows (dE/dt = -(c/m)*v**2), so from any
       state on |y| <= sqrt(2E/w2). With x_eq -+ that bound strictly inside
@@ -268,50 +185,62 @@ def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
-    peaks = np.empty((dampings.size, v0s.size))
-    codes = np.empty((dampings.size, v0s.size), dtype=int)
+    shape = (dampings.size, v0s.size)
+    peaks, codes = np.empty(shape), np.empty(shape, dtype=int)
+    kept = np.empty(shape, dtype=object)  # all None
 
     dt = period / substeps
     w2 = stiffness / mass
     w = math.sqrt(w2)
     x_eq = gravity / w2
     total = max_records * substeps
-    chunk = _chunk_steps(total, substeps)
+    # steps per numpy pass: whole records, about CHUNK_STEPS of them
+    chunk = min(total, substeps * max(1, CHUNK_STEPS // substeps))
     steps = dt * np.arange(chunk + 1)
     filtered = cutoff is not None
     k_mid = prewarped_gain(cutoff, period) if filtered else None
-    settles = not filtered or k_mid <= 1.0
+    stops = not keep and (not filtered or k_mid <= 1.0)
     shift = gravity if filtered else 0.0  # the sensor reads |a - g|, raw |a|
     slack = 1.0 + STOP_SLACK
 
+    def accel(c, x, v):
+        """a = g - (c*v + k*x)/m of states (x, v)."""
+        return gravity - (c * v + stiffness * x) * (1.0 / mass)
+
     # per slot: transition entries, carried state, damping, progress, the
-    # largest input so far and, when filtered, the inputs themselves
+    # largest input so far and the stretches of its samples: (x, v) when
+    # keep, else the filter inputs
     slots = min(ROW_BLOCK, peaks.size)
     phi = np.zeros((4, slots, chunk + 1))
     state = np.zeros((2, slots))
     damping = np.zeros(slots)
     row_of = [None] * slots
     done = [0] * slots
-    inputs_peak = [0.0] * slots
-    inputs = [[] for _ in range(slots)]
+    top = [0.0] * slots
+    parts = [[] for _ in range(slots)]
     table, table_b = None, None
     pending = iter(range(peaks.size))
 
     def settle(s, code, peak):
-        b, col = divmod(row_of[s], v0s.size)
-        codes[b, col], peaks[b, col] = code, peak
+        codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, peak
         row_of[s] = None
 
-    def finish(s, code, step, last=None):
-        """Settle slot s with the peak of its whole trace; `last` is the
-        input of an event sample and `step` its spacing from the sample
-        before."""
-        if not filtered:
-            settle(s, code, inputs_peak[s] if last is None else max(inputs_peak[s], last))
-            return
-        trace = np.concatenate(inputs[s] if last is None else [*inputs[s], [last]])
-        k_last = prewarped_gain(cutoff, float(step))
-        settle(s, code, float(np.max(np.abs(lowpass(trace, k_mid, k_last)))))
+    def finish(s, code, t_before, t_end):
+        """Settle slot s at its last sample, taken at t_end; t_before is the
+        time of the sample before it."""
+        if keep:
+            x, v = (np.concatenate(c) for c in zip(*parts[s]))
+            parts[s] = []  # drop the chunk views before the temporaries
+            t = dt * np.arange(0, substeps * x.size, substeps)
+            t[-1] = t_end
+            kept.flat[row_of[s]] = (t, x, v, accel(damping[s], x, v))
+            settle(s, code, math.nan)
+        elif filtered:
+            k_last = prewarped_gain(cutoff, float(t_end - t_before))
+            trace = np.concatenate(parts[s])
+            settle(s, code, float(np.max(np.abs(lowpass(trace, k_mid, k_last)))))
+        else:
+            settle(s, code, top[s])
 
     while True:
         for s in range(slots):
@@ -321,21 +250,18 @@ def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
                     break
                 b, col = divmod(row, v0s.size)
                 c, v0 = dampings[b], v0s[col]
-                row_of[s] = row
+                row_of[s], damping[s], done[s] = row, c, 0
+                top[s] = abs(accel(c, 0.0, v0) - shift)
+                parts[s] = [([0.0], [v0])] if keep else [[top[s]]]
                 if v0 == 0.0:
-                    # a zero-length contact: its one sample (a = g) passes
-                    # the filter unchanged
-                    settle(s, TERM_REBOUND, abs(gravity - shift))
+                    # a zero-length contact ends at its one sample (a = g),
+                    # which the filter passes unchanged over a step of 0
+                    finish(s, TERM_REBOUND, 0.0, 0.0)
                     continue
                 if b != table_b:
                     table, table_b = _transition(0.5 * c / mass, w2, steps), b
                 phi[:, s] = table
                 state[:, s] = (-x_eq, v0)
-                damping[s] = c
-                done[s] = 0
-                inputs_peak[s] = abs(_acceleration(mass, c, stiffness, gravity, 0.0, v0)
-                                     - shift)
-                inputs[s] = [np.array([inputs_peak[s]])]
         if all(row is None for row in row_of):
             break
 
@@ -343,14 +269,17 @@ def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
         y = phi[0] * state[0][:, None] + phi[1] * state[1][:, None]
         v = phi[2] * state[0][:, None] + phi[3] * state[1][:, None]
         x = x_eq + y
-        hit = _event_hits(x, clearance)
+        # events: a step ending at the stroke, or crossing zero downward
+        hit = x[:, 1:] >= clearance
+        hit |= (x[:, 1:] <= 0.0) & (x[:, :-1] > 0.0)
         first = np.argmax(hit, axis=1)
-        samples = np.abs(_acceleration(mass, damping[:, None], stiffness, gravity,
-                                       x[:, substeps::substeps],
-                                       v[:, substeps::substeps]) - shift)
-        # twice the energy one record before the chunk's end bounds the rest
-        ye, ve = y[:, chunk - substeps], v[:, chunk - substeps]
-        energy2 = ve * ve + w2 * ye * ye
+        if not keep:
+            samples = np.abs(accel(damping[:, None], x[:, substeps::substeps],
+                                   v[:, substeps::substeps]) - shift)
+        if stops:
+            # twice the energy one record before the chunk's end bounds the rest
+            ye, ve = y[:, chunk - substeps], v[:, chunk - substeps]
+            energy2 = ve * ve + w2 * ye * ye
 
         for s, row in enumerate(row_of):
             if row is None:
@@ -358,45 +287,57 @@ def contact_peaks(mass, dampings, stiffness, gravity, v0s, clearance,
             length = min(chunk, total - done[s])
             event = bool(hit[s, first[s]]) and first[s] < length
             end = int(first[s]) + 1 if event else length + 1
-            recorded = samples[s, :(end - 1) // substeps]
-            if recorded.size:
-                inputs_peak[s] = max(inputs_peak[s], float(np.max(recorded)))
-                if filtered:
-                    inputs[s].append(recorded)
+            if keep:
+                record = slice(substeps, end, substeps)
+                parts[s].append((x[s, record], v[s, record]))
+            elif end > substeps:
+                recorded = samples[s, :(end - 1) // substeps]
+                top[s] = max(top[s], float(np.max(recorded)))
+                parts[s].append(recorded)
 
             if event:
                 j = end - 1  # the event step starts from state j
-                collided, tau, x_ev, v_ev = _event(
-                    0.5 * damping[s] / mass, w2, x_eq, clearance,
-                    y[s, j], v[s, j], x[s, end], dt)
-                a_ev = _acceleration(mass, damping[s], stiffness, gravity, x_ev, v_ev)
-                t_before = dt * (done[s] + (j // substeps) * substeps)
+                alpha = 0.5 * damping[s] / mass
+                collided = bool(x[s, end] >= clearance)
+                tau = _event_time(alpha, w2, x_eq - (clearance if collided else 0.0),
+                                  y[s, j], v[s, j], dt)
+                f00, f01, f10, f11 = _transition(alpha, w2, tau)
+                x_ev = x_eq + f00 * y[s, j] + f01 * v[s, j]
+                v_ev = f10 * y[s, j] + f11 * v[s, j]
+                if keep:
+                    parts[s].append(([x_ev], [v_ev]))
+                else:
+                    last = abs(accel(damping[s], x_ev, v_ev) - shift)
+                    top[s] = max(top[s], last)
+                    parts[s].append([last])
                 finish(s, TERM_COLLISION if collided else TERM_REBOUND,
-                       (done[s] + j) * dt + tau - t_before, abs(a_ev - shift))
+                       dt * (done[s] + (j // substeps) * substeps), (done[s] + j) * dt + tau)
                 continue
             if done[s] + length == total:
-                finish(s, TERM_MAX_TIME, dt * total - dt * (total - substeps))
+                finish(s, TERM_MAX_TIME, dt * (total - substeps), dt * total)
                 continue
 
             state[:, s] = y[s, chunk], v[s, chunk]
             done[s] += chunk
+            if not stops:
+                continue
             radius = slack * math.sqrt(energy2[s] / w2)
-            if not (settles and x_eq - radius > 0.0 and x_eq + radius < clearance):
+            if not (x_eq - radius > 0.0 and x_eq + radius < clearance):
                 continue
             bound = slack * (shift + math.sqrt(energy2[s]) * (w + damping[s] / mass))
-            if bound >= inputs_peak[s]:
+            if bound >= top[s]:
                 continue
             if not filtered:
-                settle(s, TERM_MAX_TIME, inputs_peak[s])
+                settle(s, TERM_MAX_TIME, top[s])
                 continue
             # the filtered peak is at most the largest input; outputs before
             # the last are the full trace's
-            trace = np.concatenate(inputs[s])
-            inputs[s] = [trace]
+            trace = np.concatenate(parts[s])
+            parts[s] = [trace]
             peak = float(np.max(np.abs(lowpass(trace, k_mid, k_mid)[:-1])))
             if bound < peak:
                 settle(s, TERM_MAX_TIME, peak)
-    return peaks, codes
+    return peaks, codes, kept
 
 
 def prewarped_gain(cutoff, dt):

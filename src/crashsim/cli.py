@@ -48,15 +48,23 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="trajectory sample rate [Hz]")
 
 
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
+def _add_mass_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, default=REFERENCE_MASS,
                         help="payload mass [kg]")
+    parser.add_argument("--gravity", type=float, default=9.81,
+                        help="gravitational acceleration [m/s²]")
+
+
+def _add_frame_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--damping", type=float, default=REFERENCE_DAMPING,
                         help="damping coefficient [N·s/m]")
     parser.add_argument("--stiffness", type=float, default=REFERENCE_STIFFNESS,
                         help="frame stiffness [N/m]")
-    parser.add_argument("--gravity", type=float, default=9.81,
-                        help="gravitational acceleration [m/s²]")
+
+
+def _params(args) -> ImpactParams:
+    return ImpactParams(mass=args.mass, damping=args.damping,
+                        stiffness=args.stiffness, gravity=args.gravity)
 
 
 def _parse_altitudes_cm(raw: str) -> list[float]:
@@ -93,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate one drop")
-    _add_model_args(p_sim)
+    _add_mass_args(p_sim)
+    _add_frame_args(p_sim)
     _add_scenario_args(p_sim)
     p_sim.add_argument("--altitude-cm", type=float, required=True)
     p_sim.add_argument("--max-time", type=float, default=MAX_TIME_S,
@@ -108,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="statics CSV (force_n,deflection_m) to measure stiffness")
     source.add_argument("--stiffness", type=float,
                         help="frame stiffness [N/m] if no statics file")
-    p_fit.add_argument("--mass", type=float, default=REFERENCE_MASS)
-    p_fit.add_argument("--gravity", type=float, default=9.81)
+    _add_mass_args(p_fit)
     _add_scenario_args(p_fit)
     p_fit.add_argument("--c-low", type=float, default=None,
                        help="damping bracket lower edge [N·s/m] (default 0)")
@@ -122,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_energy = sub.add_parser("energy", help="energy distribution over altitudes")
-    _add_model_args(p_energy)
+    _add_mass_args(p_energy)
+    _add_frame_args(p_energy)
     _add_scenario_args(p_energy)
     p_energy.add_argument("--altitudes-cm", type=str, required=True,
                           help="comma-separated drop altitudes [cm]")
@@ -131,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.set_defaults(func=cmd_energy)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic peaks dataset")
-    _add_model_args(p_synth)
+    _add_mass_args(p_synth)
+    _add_frame_args(p_synth)
     _add_scenario_args(p_synth)
     p_synth.add_argument("--altitudes-cm", type=str, required=True)
     p_synth.add_argument("--repeats", type=int, default=3)
@@ -152,8 +162,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    params = ImpactParams(mass=args.mass, damping=args.damping,
-                          stiffness=args.stiffness, gravity=args.gravity)
+    params = _params(args)
     scenario = _scenario(args, args.altitude_cm / 100.0)
     traj = simulate_contact(params, scenario, max_time=args.max_time)
     filtered = filtered_series(traj, FilterSpec.from_scenario(scenario), params.gravity)
@@ -219,8 +228,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    params = ImpactParams(mass=args.mass, damping=args.damping,
-                          stiffness=args.stiffness, gravity=args.gravity)
+    params = _params(args)
     altitudes = _parse_altitudes_cm(args.altitudes_cm)
     template = _scenario(args, 0.0)
     curve = energy_distribution_curve(params, template, altitudes)
@@ -246,8 +254,7 @@ def cmd_synth(args) -> int:
         raise ConfigurationError(f"repeats must be >= 1, got {args.repeats}")
     if args.noise < 0.0:
         raise ConfigurationError(f"noise level must be >= 0, got {args.noise}")
-    params = ImpactParams(mass=args.mass, damping=args.damping,
-                          stiffness=args.stiffness, gravity=args.gravity)
+    params = _params(args)
     altitudes = _parse_altitudes_cm(args.altitudes_cm)
     rng = np.random.default_rng(args.seed)
 

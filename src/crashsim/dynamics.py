@@ -22,16 +22,18 @@ Integration
 -----------
 The contact ODE is linear and time-invariant, so the state advances by its
 exact discrete-time propagator exp(A*h) on internal steps of h = 1/sample_rate,
-divided until h <= 1e-4 s. The accumulated damper energy (integral of
-c*x'^2) is the exact integral over each step, computed independently of the
-energy balance. Termination events are bracketed on the internal step grid
-and located inside their step on the closed-form solution; the final sample
-holds the exact state at the event. Steps with omega_n*h > pi are refused:
-beyond that a rebound or collision can fall between two steps.
+divided until h <= 1e-4 s. Termination events are bracketed on the internal
+step grid and located inside their step on the closed-form solution; the
+final sample holds the exact state at the event. Steps with omega_n*h > pi
+are refused: beyond that a rebound or collision can fall between two steps.
 
-drop_peaks evaluates only the peak acceleration and the termination of many
-drops, on the same samples, and stops each contact as soon as neither can
-change any more.
+One chunk loop, _kernels.propagate_contacts, propagates every contact.
+simulate_impact keeps the samples of one contact; drop_peaks keeps only the
+peak acceleration and the termination of many, and stops each contact as
+soon as neither can change any more, so both read the same samples. The
+accumulated damper energy (integral of c*x'^2) is not propagated:
+simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
+the recorded states, independently of the energy balance.
 
 Sign conventions for acceleration follow x: positive a points downward. An
 ideal accelerometer measures specific force |a - g|: zero in free fall, 1 g
@@ -149,9 +151,9 @@ class Trajectory:
 
     Arrays share one length: time [s] (strictly increasing from 0),
     compression [m], velocity [m/s], acceleration [m/s²] and the cumulative
-    damper energy [J] integrated alongside the motion. When the run ended in
-    an event, the final sample sits at the located event time and is
-    spaced closer than 1/sample_rate from its predecessor.
+    damper energy [J], the exact dissipation summed over the sample steps.
+    When the run ended in an event, the final sample sits at the located
+    event time and is spaced closer than 1/sample_rate from its predecessor.
     """
 
     time: np.ndarray
@@ -225,32 +227,36 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
     if not _require_finite("max_time", max_time) > 0.0:
         raise DomainError(f"max_time must be > 0, got {max_time}")
 
-    if v0 == 0.0:
-        return Trajectory(
-            time=np.zeros(1),
-            compression=np.zeros(1),
-            velocity=np.zeros(1),
-            acceleration=np.array([params.gravity]),
-            damper_energy=np.zeros(1),
-            termination=Termination.REBOUND,
-            impact_velocity=0.0,
-            sample_rate=float(sample_rate),
-        )
-
     period, substeps, max_records = _step_grid(sample_rate, max_time)
-    dt = period / substeps
-    _require_resolved(params, dt)
-    t, x, v, a, e, term = _kernels.integrate_contact(
-        params.mass, params.damping, params.stiffness, params.gravity,
-        v0, float(clearance), dt, substeps, max_records,
+    if v0:  # a zero-length contact never steps
+        _require_resolved(params, period / substeps)
+    _, codes, kept = _kernels.propagate_contacts(
+        params.mass, [params.damping], params.stiffness, params.gravity, [v0],
+        float(clearance), period, substeps, max_records, keep=True,
     )
+    t, x, v, a = kept[0, 0]
+    termination = _TERM_FROM_CODE[int(codes[0, 0])]
+
+    # a sample step of h from y = (x - x_eq, v) dissipates y'Q(h)y; Q(h)
+    # over a period equals the sum over its internal steps, since
+    # Q(2t) = Q(t) + Phi(t)'Q(t)Phi(t)
+    alpha, w2 = 0.5 * params.damping / params.mass, params.stiffness / params.mass
+    y, u = x[:-1] - params.gravity / w2, v[:-1]
+    dissipation = _kernels.dissipated(
+        _kernels.damper_gram(alpha, w2, params.damping, period), y, u)
+    if termination is not Termination.MAX_TIME and dissipation.size:
+        # the event ends the last step short of a full period
+        gram = _kernels.damper_gram(alpha, w2, params.damping, t[-1] - t[-2])
+        dissipation[-1] = _kernels.dissipated(gram, y[-1], u[-1])
+    energy = np.zeros(x.size)
+    np.cumsum(dissipation, out=energy[1:])
     return Trajectory(
         time=t,
         compression=x,
         velocity=v,
         acceleration=a,
-        damper_energy=e,
-        termination=_TERM_FROM_CODE[term],
+        damper_energy=energy,
+        termination=termination,
         impact_velocity=v0,
         sample_rate=float(sample_rate),
     )
@@ -274,7 +280,7 @@ def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes
     and scenario.drop_altitude are not used). Each entry equals what
     simulate_contact followed by filtered_peak (or peak_acceleration's raw
     |a| when use_raw_peak) gives for that drop, and its termination; see
-    _kernels.contact_peaks for the rule that ends contacts early. Raises
+    _kernels.propagate_contacts for the rule that ends contacts early. Raises
     NumericalError as simulate_impact does.
     """
     dampings = np.atleast_1d(np.asarray(dampings, dtype=np.float64))
@@ -285,7 +291,7 @@ def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes
     if any(v0s):  # zero-length contacts never step, as in simulate_impact
         _require_resolved(params, period / substeps)
 
-    peaks, codes = _kernels.contact_peaks(
+    peaks, codes, _ = _kernels.propagate_contacts(
         params.mass, dampings, params.stiffness, params.gravity, v0s,
         scenario.clearance, period, substeps, max_records,
         None if use_raw_peak else scenario.sensor_cutoff,

@@ -130,16 +130,13 @@ def energy_partition(params: ImpactParams, scenario: DropScenario,
 
 def energy_distribution_curve(params: ImpactParams, scenario_template: DropScenario,
                               altitudes) -> list[tuple[float, EnergyBreakdown]]:
-    """energy_partition mapped over altitudes [m]; output ordered as input."""
-    altitudes = [float(h) for h in altitudes]
-    if not altitudes:
+    """energy_partition mapped over altitudes [m]; output ordered as input.
+    Every altitude is checked, as DropScenario checks it, before the first
+    drop is simulated."""
+    scenarios = [replace(scenario_template, drop_altitude=h) for h in altitudes]
+    if not scenarios:
         raise DomainError("altitude list is empty")
-    for h in altitudes:
-        if not (math.isfinite(h) and h >= 0.0):
-            raise DomainError(f"invalid drop altitude {h!r} in altitude list")
-
-    return [(h, energy_partition(params, replace(scenario_template, drop_altitude=h)))
-            for h in altitudes]
+    return [(s.drop_altitude, energy_partition(params, s)) for s in scenarios]
 
 
 def collision_threshold_altitude(params: ImpactParams, scenario_template: DropScenario,

@@ -11,8 +11,9 @@ a switch.
 
 Model peaks come from one batched evaluator, dynamics.drop_peaks: the grid
 and both bracket endpoints are one (66, A) call for A distinct altitudes,
-and each golden-section step is one (1, A) call. It propagates the contacts
-together and keeps no trajectory. A contact ends at its rebound or
+and each golden-section step is one (1, A) call. It runs the chunk loop that
+simulate_contact runs, on the same samples, but propagates the contacts
+together and keeps no samples. A contact ends at its rebound or
 collision, or as soon as its outcome and peak can no longer change: the
 energy v**2/2 + w2*(x - x_eq)**2/2 never grows, so it bounds both the
 compression and every later |a - g|; once the compression bound lies inside
@@ -84,7 +85,7 @@ class FitSetup:
 
     @property
     def critical_damping(self) -> float:
-        return 2.0 * math.sqrt(self.stiffness * self.mass)
+        return self.params_with(0.0).critical_damping
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,9 @@ def write_peaks_csv(path: Path, observations: list[PeakObservation],
 
 def _read_rows(path: Path, expected_any: list[tuple[str, ...]]):
     """Return (header, [(line_number, row), ...]) after validating the header
-    against the accepted column sets."""
+    against the accepted column sets. A row's line number is the file line
+    on which its record starts; a quoted line break makes a record span
+    lines."""
     path = Path(path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -125,10 +127,11 @@ def _read_rows(path: Path, expected_any: list[tuple[str, ...]]):
                 f"{path}: unexpected header {','.join(header)!r} (expected {wanted})"
             )
         rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows.append((line_no, row))
+        line_no = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append((line_no, row))
+            line_no = reader.line_num + 1
     return header, rows
 
 

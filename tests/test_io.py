@@ -77,9 +77,12 @@ class TestPeaksCsv:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("altitude_cm,peak_ms2,label\n50,597.8,ok\n100,not_a_number,bad\n")
-        with pytest.raises(ConfigurationError, match=r":3:"):
-            io.read_peaks_csv(path)
+        # the quoted label spans file lines 2 and 3, so `oops` is on line 4
+        for text, line in [("50,597.8,ok\n100,not_a_number,bad\n", ":3:"),
+                           ('50,597.8,"two\nlines"\n100,oops,bad\n', ":4:")]:
+            path.write_text("altitude_cm,peak_ms2,label\n" + text)
+            with pytest.raises(ConfigurationError, match=line):
+                io.read_peaks_csv(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

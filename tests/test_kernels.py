@@ -36,7 +36,9 @@ def max_rel(a: np.ndarray, b: np.ndarray) -> float:
 
 class TestPropagatorMatchesClosedForm:
     @pytest.mark.parametrize("zeta", [0.0, 0.3, 0.9])
-    @pytest.mark.parametrize("sample_rate", [5000.0, 20000.0, 100000.0])
+    # 1500 Hz: 7 internal steps per sample in chunks of 511 steps, so the
+    # recorded samples do not line up with CHUNK_STEPS
+    @pytest.mark.parametrize("sample_rate", [1500.0, 5000.0, 20000.0, 100000.0])
     @pytest.mark.parametrize("altitude", [0.5, 20.0])
     def test_states_on_sample_grid(self, zeta, sample_rate, altitude):
         params = params_at(zeta)
@@ -87,7 +89,7 @@ class TestDamperEnergyClosure:
            mass=st.floats(0.05, 5.0),
            stiffness=st.floats(500.0, 50000.0),
            altitude=st.floats(0.01, 30.0),
-           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]))
+           sample_rate=st.sampled_from([1500.0, 5000.0, 20000.0, 100000.0]))
     def test_balance_closes_at_every_sample(self, zeta, mass, stiffness, altitude,
                                             sample_rate):
         params = params_at(zeta, mass, stiffness)
