@@ -23,6 +23,7 @@ import numpy as np
 from . import io
 from .dynamics import (
     MAX_TIME_S,
+    STANDARD_GRAVITY,
     DropScenario,
     ImpactParams,
     drop_peaks,
@@ -40,18 +41,19 @@ REFERENCE_STIFFNESS = 7040.0
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clearance-mm", type=float, default=16.0,
+    defaults = DropScenario(drop_altitude=0.0)
+    parser.add_argument("--clearance-mm", type=float, default=defaults.clearance * 1000.0,
                         help="compression stroke before rigid collision [mm]")
-    parser.add_argument("--cutoff-hz", type=float, default=500.0,
+    parser.add_argument("--cutoff-hz", type=float, default=defaults.sensor_cutoff,
                         help="sensor low-pass cutoff [Hz]")
-    parser.add_argument("--sample-rate-hz", type=float, default=20000.0,
+    parser.add_argument("--sample-rate-hz", type=float, default=defaults.sample_rate,
                         help="trajectory sample rate [Hz]")
 
 
 def _add_mass_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, default=REFERENCE_MASS,
                         help="payload mass [kg]")
-    parser.add_argument("--gravity", type=float, default=9.81,
+    parser.add_argument("--gravity", type=float, default=STANDARD_GRAVITY,
                         help="gravitational acceleration [m/s²]")
 
 
@@ -196,18 +198,13 @@ def cmd_fit(args) -> int:
         stiffness_source = "supplied"
 
     setup = FitSetup(
-        mass=args.mass,
-        stiffness=stiffness,
-        gravity=args.gravity,
+        params=ImpactParams(mass=args.mass, damping=0.0, stiffness=stiffness,
+                            gravity=args.gravity),
         scenario=_scenario(args, 0.0),
         use_raw_peak=args.raw_peaks,
     )
-    bracket = None
-    if args.c_low is not None or args.c_high is not None:
-        c_low = args.c_low if args.c_low is not None else 0.0
-        c_high = args.c_high if args.c_high is not None else 5.0 * setup.critical_damping
-        bracket = (c_low, c_high)
-    result = fit_damping(setup, observations, bracket=bracket, tolerance=args.tolerance)
+    result = fit_damping(setup, observations, bracket=(args.c_low, args.c_high),
+                         tolerance=args.tolerance)
 
     out = _out_dir(args)
     io.write_json(out / "fit.json", {

@@ -206,9 +206,11 @@ def _require_resolved(params: ImpactParams, dt: float) -> None:
         )
 
 
-def simulate_impact(params: ImpactParams, v0: float, clearance: float,
-                    sample_rate: float, max_time: float = MAX_TIME_S) -> Trajectory:
-    """Propagate a contact that starts at compression 0 with velocity v0.
+def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
+                    max_time: float = MAX_TIME_S) -> Trajectory:
+    """Propagate a contact that starts at compression 0 with velocity v0,
+    with the stroke and sample rate of `scenario` (its drop_altitude is not
+    used).
 
     Lower-level entry point used by simulate_contact; taking v0 directly
     decouples the initial speed from the gravity that forces the contact.
@@ -220,19 +222,15 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:
         raise DomainError(f"impact velocity must be >= 0, got {v0}")
-    if not _require_finite("clearance", clearance) > 0.0:
-        raise DomainError(f"clearance must be > 0, got {clearance}")
-    if not _require_finite("sample_rate", sample_rate) > 0.0:
-        raise DomainError(f"sample_rate must be > 0, got {sample_rate}")
     if not _require_finite("max_time", max_time) > 0.0:
         raise DomainError(f"max_time must be > 0, got {max_time}")
 
-    period, substeps, max_records = _step_grid(sample_rate, max_time)
+    period, substeps, max_records = _step_grid(scenario.sample_rate, max_time)
     if v0:  # a zero-length contact never steps
         _require_resolved(params, period / substeps)
     _, codes, kept = _kernels.propagate_contacts(
         params.mass, [params.damping], params.stiffness, params.gravity, [v0],
-        float(clearance), period, substeps, max_records, keep=True,
+        scenario.clearance, period, substeps, max_records, keep=True,
     )
     t, x, v, a = kept[0, 0]
     termination = _TERM_FROM_CODE[int(codes[0, 0])]
@@ -258,7 +256,7 @@ def simulate_impact(params: ImpactParams, v0: float, clearance: float,
         damper_energy=energy,
         termination=termination,
         impact_velocity=v0,
-        sample_rate=float(sample_rate),
+        sample_rate=scenario.sample_rate,
     )
 
 
@@ -266,8 +264,7 @@ def simulate_contact(params: ImpactParams, scenario: DropScenario,
                      max_time: float = MAX_TIME_S) -> Trajectory:
     """Simulate the ground contact of a drop described by `scenario`."""
     v0 = impact_velocity(scenario.drop_altitude, params.gravity)
-    return simulate_impact(params, v0, scenario.clearance,
-                           scenario.sample_rate, max_time)
+    return simulate_impact(params, v0, scenario, max_time)
 
 
 def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes,

@@ -13,9 +13,10 @@ The gravity-work term m*g*clearance (~0.04 J for the reference frame) makes
 the balance close exactly; the plain difference rule without it is reported
 alongside in JSON output as ``damper_paper_rule``.
 
-Fractions are taken against the initial potential energy m*g*h. Because
-gravity keeps doing work over the compression stroke, the fractions can sum
-marginally above 1 (by x_eval/h); they are reported unclamped.
+Fractions are taken against the initial potential energy m*g*h, and read 0
+when it is 0 (a drop from h = 0 or under g = 0 is a zero-length contact).
+Because gravity keeps doing work over the compression stroke, the fractions
+can sum marginally above 1 (by x_eval/h); they are reported unclamped.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class EnergyBreakdown:
             "frac_collision": self.frac_collision,
             "termination": self.termination.value,
             "compression_at_eval_m": self.compression_at_eval,
-            "damper_closed_rule_j": self.damper,
             "damper_paper_rule_j": self.damper_paper_rule,
         }
 
@@ -78,15 +78,6 @@ def energy_partition(params: ImpactParams, scenario: DropScenario,
 
     initial_potential = m * g * h
     kinetic_at_impact = 0.5 * m * traj.impact_velocity ** 2
-
-    if traj.impact_velocity == 0.0:
-        return EnergyBreakdown(
-            initial_potential=0.0, kinetic_at_impact=0.0,
-            spring=0.0, damper=0.0, collision=0.0,
-            frac_spring=0.0, frac_damper=0.0, frac_collision=0.0,
-            termination=traj.termination, compression_at_eval=0.0,
-            damper_paper_rule=0.0,
-        )
 
     if traj.termination is Termination.COLLISION:
         x_eval = scenario.clearance
@@ -113,15 +104,18 @@ def energy_partition(params: ImpactParams, scenario: DropScenario,
     damper = max(damper, 0.0)
     paper_rule = max(paper_rule, 0.0)
 
+    def fraction(term: float) -> float:
+        return term / initial_potential if initial_potential else 0.0
+
     return EnergyBreakdown(
         initial_potential=initial_potential,
         kinetic_at_impact=kinetic_at_impact,
         spring=spring,
         damper=damper,
         collision=collision,
-        frac_spring=spring / initial_potential,
-        frac_damper=damper / initial_potential,
-        frac_collision=collision / initial_potential,
+        frac_spring=fraction(spring),
+        frac_damper=fraction(damper),
+        frac_collision=fraction(collision),
         termination=traj.termination,
         compression_at_eval=x_eval,
         damper_paper_rule=paper_rule,

@@ -9,6 +9,9 @@ entering the loss are the sensor-filtered specific-force peaks by default
 (that is what the accelerometer records); raw |a| peaks are available behind
 a switch.
 
+A FitSetup holds what the fit keeps fixed: one ImpactParams (its damping is
+not used) and one DropScenario, each checked once, when it is built.
+
 Model peaks come from one batched evaluator, dynamics.drop_peaks: the grid
 and both bracket endpoints are one (66, A) call for A distinct altitudes,
 and each golden-section step is one (1, A) call. It runs the chunk loop that
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import STANDARD_GRAVITY, DropScenario, ImpactParams, drop_peaks
+from .dynamics import DropScenario, ImpactParams, drop_peaks
 from .errors import ConfigurationError, DegenerateDataError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,21 +74,12 @@ class StaticDeflectionSample:
 
 @dataclass(frozen=True)
 class FitSetup:
-    """Everything held fixed while fitting the damping coefficient."""
+    """Everything held fixed while fitting the damping coefficient. The
+    damping of `params` and the drop_altitude of `scenario` are not used."""
 
-    mass: float
-    stiffness: float
-    gravity: float = STANDARD_GRAVITY
+    params: ImpactParams
     scenario: DropScenario = field(default_factory=lambda: DropScenario(drop_altitude=0.0))
     use_raw_peak: bool = False
-
-    def params_with(self, damping: float) -> ImpactParams:
-        return ImpactParams(mass=self.mass, damping=damping,
-                            stiffness=self.stiffness, gravity=self.gravity)
-
-    @property
-    def critical_damping(self) -> float:
-        return self.params_with(0.0).critical_damping
 
 
 @dataclass(frozen=True)
@@ -122,8 +116,8 @@ def model_peak(params: ImpactParams, scenario: DropScenario,
 
 def _model_peaks(setup: FitSetup, dampings, altitudes) -> np.ndarray:
     """(B, A) model peaks [m/s²] of every (damping, altitude) pair."""
-    peaks, _ = drop_peaks(setup.params_with(0.0), setup.scenario, dampings,
-                          altitudes, setup.use_raw_peak)
+    peaks, _ = drop_peaks(setup.params, setup.scenario, dampings, altitudes,
+                          setup.use_raw_peak)
     return peaks
 
 
@@ -134,6 +128,8 @@ def _mse(peaks: np.ndarray, measured: np.ndarray) -> float:
 def _loss_columns(observations: list[PeakObservation]):
     """Distinct altitudes, each observation's column among them, and the
     measured peaks: model peaks for repeated altitudes are computed once."""
+    if not observations:
+        raise DomainError("observation list is empty")
     altitudes = sorted({o.drop_altitude for o in observations})
     column = {h: i for i, h in enumerate(altitudes)}
     return (altitudes, [column[o.drop_altitude] for o in observations],
@@ -143,36 +139,30 @@ def _loss_columns(observations: list[PeakObservation]):
 def mse_loss(damping: float, setup: FitSetup,
              observations: list[PeakObservation]) -> float:
     """Mean squared error [(m/s²)²] between model peaks and measured peaks."""
-    if not observations:
-        raise DomainError("observation list is empty")
-    if not (math.isfinite(damping) and damping >= 0.0):
-        raise DomainError(f"damping must be >= 0, got {damping}")
     altitudes, columns, measured = _loss_columns(observations)
     return _mse(_model_peaks(setup, [damping], altitudes)[0, columns], measured)
 
 
 def fit_damping(setup: FitSetup, observations: list[PeakObservation],
-                bracket: tuple[float, float] | None = None,
+                bracket: tuple[float | None, float | None] | None = None,
                 tolerance: float = 0.01) -> FitResult:
     """Minimize the peak-matching MSE over the damping coefficient.
 
     A 64-point log-spaced grid over the bracket locates the best cell, then
     golden-section search refines it to `tolerance` [N·s/m]. The bracket
     endpoints are also evaluated so the returned loss never exceeds either.
-    Deterministic for fixed inputs. The default bracket is (0, 5*c_crit].
+    Deterministic for fixed inputs. The default bracket is (0, 5*c_crit];
+    an end given as None takes its default.
     """
-    if not observations:
-        raise DomainError("observation list is empty")
-    if bracket is None:
-        bracket = (0.0, 5.0 * setup.critical_damping)
-    c_low, c_high = float(bracket[0]), float(bracket[1])
+    altitudes, columns, measured = _loss_columns(observations)
+    c_low, c_high = bracket if bracket is not None else (None, None)
+    c_low = 0.0 if c_low is None else float(c_low)
+    c_high = 5.0 * setup.params.critical_damping if c_high is None else float(c_high)
     if not (math.isfinite(c_low) and math.isfinite(c_high)
             and 0.0 <= c_low < c_high):
-        raise ConfigurationError(f"invalid damping bracket {bracket!r}")
+        raise ConfigurationError(f"invalid damping bracket {(c_low, c_high)!r}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
-
-    altitudes, columns, measured = _loss_columns(observations)
 
     def losses(dampings) -> list[float]:
         peaks = _model_peaks(setup, dampings, altitudes)

@@ -109,30 +109,47 @@ def write_peaks_csv(path: Path, observations: list[PeakObservation],
     ])
 
 
-def _read_rows(path: Path, expected_any: list[tuple[str, ...]]):
-    """Return (header, [(line_number, row), ...]) after validating the header
-    against the accepted column sets. A row's line number is the file line
-    on which its record starts; a quoted line break makes a record span
-    lines."""
+def _read_records(path: Path, headers: list[tuple[str, ...]],
+                  fields: tuple[str | None, ...], record) -> list:
+    """One record per non-empty row of a headered CSV.
+
+    The header must be one of `headers`. Each row holds one field per entry
+    of `fields`: a named field is parsed as a finite float, a None field is
+    kept as text. `record(header, *values)` builds the record; errors name
+    the file line on which the row's record starts (a quoted line break
+    makes a record span lines), and a DomainError from `record` becomes a
+    ConfigurationError there. A file with no data rows raises DomainError.
+    """
     path = Path(path)
+    records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = tuple(next(reader))
         except StopIteration:
             raise ConfigurationError(f"{path}: file is empty (missing header)") from None
-        if header not in expected_any:
-            wanted = " or ".join(",".join(cols) for cols in expected_any)
+        if header not in headers:
+            wanted = " or ".join(",".join(cols) for cols in headers)
             raise ConfigurationError(
                 f"{path}: unexpected header {','.join(header)!r} (expected {wanted})"
             )
-        rows = []
         line_no = reader.line_num + 1
         for row in reader:
             if row:
-                rows.append((line_no, row))
+                if len(row) != len(fields):
+                    raise ConfigurationError(
+                        f"{path}:{line_no}: expected {len(fields)} fields, got {len(row)}"
+                    )
+                values = [raw if name is None else _parse_float(path, line_no, name, raw)
+                          for name, raw in zip(fields, row)]
+                try:
+                    records.append(record(header, *values))
+                except DomainError as exc:
+                    raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
             line_no = reader.line_num + 1
-    return header, rows
+    if not records:
+        raise DomainError(f"{path}: no data rows")
+    return records
 
 
 def _parse_float(path: Path, line_no: int, name: str, raw: str) -> float:
@@ -148,26 +165,13 @@ def _parse_float(path: Path, line_no: int, name: str, raw: str) -> float:
 def read_peaks_csv(path: Path) -> list[PeakObservation]:
     """Parse drop observations; altitude_cm converts to meters, peak_g
     converts to m/s². Malformed rows report the file line number."""
-    header, rows = _read_rows(path, [PEAKS_COLUMNS, PEAKS_COLUMNS_G])
-    scale = G_UNIT if header == PEAKS_COLUMNS_G else 1.0
-    observations = []
-    for line_no, row in rows:
-        if len(row) != 3:
-            raise ConfigurationError(
-                f"{path}:{line_no}: expected 3 fields, got {len(row)}"
-            )
-        altitude_cm = _parse_float(path, line_no, "altitude", row[0])
-        peak = _parse_float(path, line_no, "peak", row[1]) * scale
-        try:
-            observations.append(
-                PeakObservation(drop_altitude=altitude_cm / 100.0,
-                                measured_peak=peak, label=row[2])
-            )
-        except DomainError as exc:
-            raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
-    if not observations:
-        raise DomainError(f"{path}: no data rows")
-    return observations
+    def observation(header, altitude_cm, peak, label):
+        scale = G_UNIT if header == PEAKS_COLUMNS_G else 1.0
+        return PeakObservation(drop_altitude=altitude_cm / 100.0,
+                               measured_peak=peak * scale, label=label)
+
+    return _read_records(path, [PEAKS_COLUMNS, PEAKS_COLUMNS_G],
+                         ("altitude", "peak", None), observation)
 
 
 def write_statics_csv(path: Path, samples: list[StaticDeflectionSample]) -> None:
@@ -176,22 +180,10 @@ def write_statics_csv(path: Path, samples: list[StaticDeflectionSample]) -> None
 
 
 def read_statics_csv(path: Path) -> list[StaticDeflectionSample]:
-    _, rows = _read_rows(path, [STATICS_COLUMNS])
-    samples = []
-    for line_no, row in rows:
-        if len(row) != 2:
-            raise ConfigurationError(
-                f"{path}:{line_no}: expected 2 fields, got {len(row)}"
-            )
-        force = _parse_float(path, line_no, "force", row[0])
-        deflection = _parse_float(path, line_no, "deflection", row[1])
-        try:
-            samples.append(StaticDeflectionSample(force=force, deflection=deflection))
-        except DomainError as exc:
-            raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
-    if not samples:
-        raise DomainError(f"{path}: no data rows")
-    return samples
+    return _read_records(
+        path, [STATICS_COLUMNS], ("force", "deflection"),
+        lambda _, force, deflection: StaticDeflectionSample(force=force,
+                                                             deflection=deflection))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from crashsim import io
+from crashsim import STANDARD_GRAVITY, DropScenario, cli, io
 from crashsim.cli import main
 
 
@@ -54,6 +54,11 @@ class TestSimulate:
         assert run_cli("--out-dir", tmp_path, "simulate", "--altitude-cm", "100",
                        "--mass", "1e-8", "--stiffness", "1e150", "--damping", "0",
                        "--sample-rate-hz", "1500") == 3
+
+    def test_defaults_are_the_model_defaults(self):
+        args = cli.build_parser().parse_args(["simulate", "--altitude-cm", "100"])
+        assert cli._scenario(args, args.altitude_cm / 100.0) == DropScenario(1.0)
+        assert args.gravity == STANDARD_GRAVITY
 
 
 class TestSynth:
@@ -146,6 +151,16 @@ class TestFit:
         assert run_cli("fit", "--peaks", peaks, "--stiffness", "7040") == 2
         assert ":3:" in capsys.readouterr().err
 
+    def test_invalid_params_exit_2_without_files(self, tmp_path, capsys):
+        (tmp_path / "peaks.csv").write_text("altitude_cm,peak_ms2,label\n100,500,a\n")
+        out = tmp_path / "sub"
+        for flag, value, message in [("--mass", "-1", "mass must be > 0"),
+                                     ("--gravity", "nan", "gravity must be finite")]:
+            assert run_cli("--out-dir", out, "fit", "--peaks", tmp_path / "peaks.csv",
+                           "--stiffness", "7040", flag, value) == 2
+            assert message in capsys.readouterr().err
+            assert not (out / "fit.json").exists()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run_cli("fit", "--peaks", tmp_path / "absent.csv",
                        "--stiffness", "7040") == 2
@@ -191,8 +206,8 @@ class TestEnergy:
         report = json.loads((tmp_path / "energy.json").read_text())
         assert report["collision_threshold_altitude_m"] == pytest.approx(1.398, abs=0.01)
         assert len(report["altitudes"]) == 4
-        assert {"damper_paper_rule_j", "damper_closed_rule_j"} <= set(
-            report["altitudes"][0])
+        assert "damper_paper_rule_j" in report["altitudes"][0]
+        assert "damper_closed_rule_j" not in report["altitudes"][0]
 
     def test_zero_altitude_row(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "0") == 0

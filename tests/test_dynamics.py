@@ -88,8 +88,9 @@ class TestUndampedOscillator:
     @pytest.fixture
     def traj(self):
         params = ImpactParams(mass=1.0, damping=0.0, stiffness=1.0, gravity=0.0)
-        return simulate_impact(params, v0=1.0, clearance=10.0, sample_rate=1000.0,
-                               max_time=10.0)
+        scenario = DropScenario(0.0, clearance=10.0, sensor_cutoff=100.0,
+                                sample_rate=1000.0)
+        return simulate_impact(params, v0=1.0, scenario=scenario, max_time=10.0)
 
     def test_rebounds(self, traj):
         assert traj.termination is Termination.REBOUND
@@ -142,7 +143,8 @@ class TestSimulateContact:
         # fall between steps; the step is refused
         params = ImpactParams(mass=1e-8, damping=0.0, stiffness=1e150)
         with pytest.raises(NumericalError) as exc_info:
-            simulate_impact(params, v0=1.0, clearance=0.016, sample_rate=1000.0)
+            simulate_impact(params, v0=1.0, scenario=DropScenario(
+                0.0, clearance=0.016, sensor_cutoff=100.0, sample_rate=1000.0))
         assert exc_info.value.time is not None
         assert exc_info.value.time > 0.0
 
@@ -254,7 +256,8 @@ class TestEnergyBalance:
 
     def test_undamped_zero_gravity_periodic(self):
         params = ImpactParams(mass=1.0, damping=0.0, stiffness=100.0, gravity=0.0)
-        traj = simulate_impact(params, v0=1.0, clearance=1.0, sample_rate=20000.0)
+        traj = simulate_impact(params, v0=1.0,
+                               scenario=DropScenario(0.0, clearance=1.0, sample_rate=20000.0))
         assert traj.termination is Termination.REBOUND
         assert abs(traj.compression[-1]) < 1e-6
         assert traj.velocity[-1] == pytest.approx(-1.0, rel=1e-6)

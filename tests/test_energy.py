@@ -85,16 +85,21 @@ class TestEnergyPartition:
         assert absorbed > 0.30
 
     def test_zero_altitude_all_zero(self, reference_params, make_scenario):
-        breakdown = energy_partition(reference_params, make_scenario(0.0))
-        assert breakdown.initial_potential == 0.0
-        assert breakdown.spring == breakdown.damper == breakdown.collision == 0.0
-        assert breakdown.frac_spring == breakdown.frac_damper == breakdown.frac_collision == 0.0
+        # a drop from h = 0, or from 1 m under g = 0, has no energy to split
+        for params, h in [(reference_params, 0.0),
+                          (replace(reference_params, gravity=0.0), 1.0)]:
+            breakdown = energy_partition(params, make_scenario(h))
+            assert breakdown.initial_potential == 0.0
+            assert breakdown.spring == breakdown.damper == breakdown.collision == 0.0
+            assert (breakdown.frac_spring == breakdown.frac_damper
+                    == breakdown.frac_collision == 0.0)
 
     def test_undamped_exchange_with_explicit_velocity(self):
         # with c = 0 and no gravity forcing, the impact energy converts
         # entirely into spring energy at peak compression
         params = ImpactParams(mass=1.0, damping=0.0, stiffness=400.0, gravity=0.0)
-        traj = simulate_impact(params, v0=1.0, clearance=1.0, sample_rate=20000.0)
+        traj = simulate_impact(params, v0=1.0,
+                               scenario=DropScenario(0.0, clearance=1.0, sample_rate=20000.0))
         assert traj.termination is Termination.REBOUND
         spring_max = 0.5 * 400.0 * traj.max_compression ** 2
         assert spring_max == pytest.approx(0.5 * 1.0 ** 2, rel=1e-6)
@@ -119,8 +124,8 @@ class TestEnergyPartition:
 
     def test_json_dict_reports_both_rules(self, reference_params, make_scenario):
         payload = energy_partition(reference_params, make_scenario(20.0)).as_json_dict()
-        assert payload["damper_closed_rule_j"] == payload["damper_j"]
-        assert payload["damper_paper_rule_j"] < payload["damper_closed_rule_j"]
+        assert "damper_closed_rule_j" not in payload
+        assert payload["damper_paper_rule_j"] < payload["damper_j"]
         assert payload["termination"] == "collision"
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from crashsim import (
     DomainError,
     DropScenario,
     FitSetup,
+    ImpactParams,
     PeakObservation,
     StaticDeflectionSample,
     drop_peaks,
@@ -16,12 +19,16 @@ from crashsim import (
     mse_loss,
 )
 
-REFERENCE_SETUP = FitSetup(mass=0.241, stiffness=7040.0)
+REFERENCE_SETUP = FitSetup(ImpactParams(mass=0.241, damping=0.0, stiffness=7040.0))
+
+
+def params_with(damping):
+    return replace(REFERENCE_SETUP.params, damping=damping)
 
 
 def synthetic_observations(damping, altitudes, repeats=1, noise=0.0, seed=None):
     rng = np.random.default_rng(seed)
-    params = REFERENCE_SETUP.params_with(damping)
+    params = params_with(damping)
     observations = []
     for h in altitudes:
         peak = model_peak(params, DropScenario(h))
@@ -79,9 +86,9 @@ class TestModelPeak:
     def test_total_on_damping_axis(self):
         # computable from zero damping up to far past critical
         scenario = DropScenario(1.0)
-        peak_undamped = model_peak(REFERENCE_SETUP.params_with(0.0), scenario)
+        peak_undamped = model_peak(params_with(0.0), scenario)
         peak_overdamped = model_peak(
-            REFERENCE_SETUP.params_with(10.0 * REFERENCE_SETUP.critical_damping),
+            params_with(10.0 * REFERENCE_SETUP.params.critical_damping),
             scenario)
         assert peak_undamped > 0.0
         assert peak_overdamped > 0.0
@@ -89,19 +96,19 @@ class TestModelPeak:
 
     def test_continuity_in_damping(self):
         scenario = DropScenario(1.0)
-        base = model_peak(REFERENCE_SETUP.params_with(46.0), scenario)
-        d_coarse = abs(model_peak(REFERENCE_SETUP.params_with(46.1), scenario) - base)
-        d_fine = abs(model_peak(REFERENCE_SETUP.params_with(46.01), scenario) - base)
+        base = model_peak(params_with(46.0), scenario)
+        d_coarse = abs(model_peak(params_with(46.1), scenario) - base)
+        d_fine = abs(model_peak(params_with(46.01), scenario) - base)
         assert d_fine < 0.2 * d_coarse
         assert d_coarse < 0.01 * base
 
     def test_peaks_increase_with_altitude(self):
-        params = REFERENCE_SETUP.params_with(46.0)
+        params = params_with(46.0)
         peaks = [model_peak(params, DropScenario(h)) for h in (0.5, 1.0, 1.5)]
         assert peaks[0] < peaks[1] < peaks[2]
 
     def test_raw_convention_differs(self):
-        params = REFERENCE_SETUP.params_with(46.0)
+        params = params_with(46.0)
         scenario = DropScenario(1.0)
         raw = model_peak(params, scenario, use_raw_peak=True)
         filtered = model_peak(params, scenario)
@@ -110,12 +117,12 @@ class TestModelPeak:
 
     def test_batch_matches_single_drops(self):
         dampings, altitudes = [0.0, 46.0, 200.0], [0.0, 0.5, 1.5]
-        peaks, _ = drop_peaks(REFERENCE_SETUP.params_with(0.0), DropScenario(0.0),
+        peaks, _ = drop_peaks(params_with(0.0), DropScenario(0.0),
                               dampings, altitudes)
         assert peaks.shape == (3, 3)
         for b, c in enumerate(dampings):
             for a, h in enumerate(altitudes):
-                assert peaks[b, a] == model_peak(REFERENCE_SETUP.params_with(c),
+                assert peaks[b, a] == model_peak(params_with(c),
                                                  DropScenario(h))
 
 
@@ -130,7 +137,7 @@ class TestMseLoss:
             assert mse_loss(46.0 + delta, REFERENCE_SETUP, observations) > 0.0
 
     def test_single_observation_definition(self):
-        peak = model_peak(REFERENCE_SETUP.params_with(30.0), DropScenario(1.0))
+        peak = model_peak(params_with(30.0), DropScenario(1.0))
         error = 2.5
         observations = [PeakObservation(1.0, peak + error)]
         assert mse_loss(30.0, REFERENCE_SETUP, observations) == pytest.approx(
@@ -142,8 +149,9 @@ class TestMseLoss:
 
     def test_negative_damping_rejected(self):
         observations = synthetic_observations(46.0, [1.0])
-        with pytest.raises(DomainError):
-            mse_loss(-1.0, REFERENCE_SETUP, observations)
+        for damping in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                mse_loss(damping, REFERENCE_SETUP, observations)
 
 
 class TestFitDamping:
@@ -175,6 +183,17 @@ class TestFitDamping:
         result = fit_damping(REFERENCE_SETUP, observations, bracket=bracket)
         assert bracket[0] <= result.damping <= bracket[1]
         assert result.at_boundary
+
+    def test_partial_bracket_takes_the_default_end(self):
+        observations = synthetic_observations(46.0, [1.0])
+        c_high = 5.0 * REFERENCE_SETUP.params.critical_damping
+        for bracket, resolved in [((20.0, None), (20.0, c_high)),
+                                  ((None, 80.0), (0.0, 80.0))]:
+            result = fit_damping(REFERENCE_SETUP, observations, bracket=bracket)
+            assert result.bracket == resolved
+        with pytest.raises(ConfigurationError) as exc_info:
+            fit_damping(REFERENCE_SETUP, observations, bracket=(1000.0, None))
+        assert repr((1000.0, c_high)) in str(exc_info.value)
 
     @pytest.mark.parametrize("bracket", [(-1.0, 10.0), (5.0, 5.0), (10.0, 2.0)])
     def test_invalid_bracket_rejected(self, bracket):
@@ -233,5 +252,5 @@ class TestObservationTypes:
             StaticDeflectionSample(-1.0, 0.001)
 
     def test_setup_critical_damping(self):
-        assert REFERENCE_SETUP.critical_damping == pytest.approx(
+        assert REFERENCE_SETUP.params.critical_damping == pytest.approx(
             2.0 * np.sqrt(7040.0 * 0.241), rel=1e-12)

@@ -177,6 +177,24 @@ class TestStaticsCsv:
         with pytest.raises(ConfigurationError, match=r":3:"):
             io.read_statics_csv(path)
 
+    def test_wrong_field_count_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("force_n,deflection_m\n10,0.001,3\n")
+        with pytest.raises(ConfigurationError, match=r":2:"):
+            io.read_statics_csv(path)
+
+    def test_invalid_domain_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("force_n,deflection_m\n-10,0.001\n")
+        with pytest.raises(ConfigurationError, match=r":2:"):
+            io.read_statics_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "no_rows.csv"
+        path.write_text("force_n,deflection_m\n")
+        with pytest.raises(DomainError):
+            io.read_statics_csv(path)
+
 
 class TestTrajectoryAndEnergyCsv:
     def test_trajectory_columns_and_rows(self, tmp_path, reference_params):

@@ -52,7 +52,8 @@ class TestPropagatorMatchesClosedForm:
         # a slow undamped zero-gravity oscillator with a far clearance stays in
         # contact for thousands of steps, carried over many propagation chunks
         params = ImpactParams(mass=1.0, damping=0.0, stiffness=100.0, gravity=0.0)
-        traj = simulate_impact(params, v0=1.0, clearance=10.0, sample_rate=20000.0,
+        traj = simulate_impact(params, v0=1.0,
+                               scenario=DropScenario(0.0, clearance=10.0, sample_rate=20000.0),
                                max_time=0.5)
         # the rebound at t = pi/10 ends it before the horizon
         assert traj.termination is Termination.REBOUND
