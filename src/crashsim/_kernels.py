@@ -144,7 +144,7 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
 
 
 def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
-                       period, substeps, max_records, cutoff=None, keep=False):
+                       period, max_records, cutoff=None, keep=False):
     """Exact propagation of m*x'' + c*x' + k*x = m*g for every contact
     (dampings[b], v0s[a]).
 
@@ -153,16 +153,19 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     (t, x, v, a) when `keep` is set, else None. With `keep` the peaks are
     not computed and read NaN: the caller has the samples.
 
-    A contact starts at x = 0 with velocity v0 and advances on steps of
-    dt = period/substeps; every substeps-th state is a sample. Termination
-    events (compression reaching `clearance` from below, or crossing zero
-    downward after compression) are bracketed on the step grid; the event
-    time is the root of the closed form inside its step, and the last sample
-    holds the exact state there. Without an event a contact ends after
-    max_records periods. A v0 of 0 is a zero-length contact, whose one
-    sample is its initial state. The peak is the largest |a| when cutoff is
-    None, else the largest |lowpass| output of |a - g| with
-    k = tan(pi*cutoff*period).
+    A contact starts at x = 0 with velocity v0 and advances one sample
+    period per step. A step holds a termination event when it ends past a
+    wall (compression at `clearance`, or at zero after compression), or when
+    v changes sign in it at an extremum that reaches the wall it faces: the
+    stroke at a peak, zero at a dip. Phi(tau) and A commute, so v(tau) is the
+    x-row of Phi(tau) applied to A*y: _event_time solves the turning time as
+    it solves the event time, which the turning time then brackets. Zeros of
+    v are pi/omega_d apart, so with omega_n*period <= pi (the caller's check)
+    a step holds at most one. The last sample holds the exact state at the
+    event. Without an event a contact ends after max_records periods. A v0
+    of 0 is a zero-length contact, whose one sample is its initial state.
+    The peak is the largest |a| when cutoff is None, else the largest
+    |lowpass| output of |a - g| with k = tan(pi*cutoff*period).
 
     ROW_BLOCK contacts advance together, one chunk per numpy pass; a
     finished contact hands its row to the next. Unless `keep` is set, a
@@ -189,14 +192,11 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     peaks, codes = np.empty(shape), np.empty(shape, dtype=int)
     kept = np.empty(shape, dtype=object)  # all None
 
-    dt = period / substeps
     w2 = stiffness / mass
     w = math.sqrt(w2)
     x_eq = gravity / w2
-    total = max_records * substeps
-    # steps per numpy pass: whole records, about CHUNK_STEPS of them
-    chunk = min(total, substeps * max(1, CHUNK_STEPS // substeps))
-    steps = dt * np.arange(chunk + 1)
+    chunk = min(max_records, CHUNK_STEPS)
+    steps = period * np.arange(chunk + 1)
     filtered = cutoff is not None
     k_mid = prewarped_gain(cutoff, period) if filtered else None
     stops = not keep and (not filtered or k_mid <= 1.0)
@@ -231,7 +231,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         if keep:
             x, v = (np.concatenate(c) for c in zip(*parts[s]))
             parts[s] = []  # drop the chunk views before the temporaries
-            t = dt * np.arange(0, substeps * x.size, substeps)
+            t = period * np.arange(x.size)
             t[-1] = t_end
             kept.flat[row_of[s]] = (t, x, v, accel(damping[s], x, v))
             settle(s, code, math.nan)
@@ -273,34 +273,50 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         hit = x[:, 1:] >= clearance
         hit |= (x[:, 1:] <= 0.0) & (x[:, :-1] > 0.0)
         first = np.argmax(hit, axis=1)
+        # turning steps, where v changes sign, grouped by slot
+        moving = v > 0.0
+        rows, cols = np.nonzero(moving[:, :-1] != moving[:, 1:])
+        edges = np.searchsorted(rows, np.arange(slots + 1)).tolist()
+        cols = cols.tolist()
         if not keep:
-            samples = np.abs(accel(damping[:, None], x[:, substeps::substeps],
-                                   v[:, substeps::substeps]) - shift)
+            samples = np.abs(accel(damping[:, None], x[:, 1:], v[:, 1:]) - shift)
         if stops:
-            # twice the energy one record before the chunk's end bounds the rest
-            ye, ve = y[:, chunk - substeps], v[:, chunk - substeps]
+            # twice the energy one sample before the chunk's end bounds the rest
+            ye, ve = y[:, chunk - 1], v[:, chunk - 1]
             energy2 = ve * ve + w2 * ye * ye
 
         for s, row in enumerate(row_of):
             if row is None:
                 continue
-            length = min(chunk, total - done[s])
-            event = bool(hit[s, first[s]]) and first[s] < length
-            end = int(first[s]) + 1 if event else length + 1
+            length = min(chunk, max_records - done[s])
+            alpha = 0.5 * damping[s] / mass
+            # j: the first event's step, else length; a step ending past a wall holds one
+            j = min(int(first[s]) if hit[s, first[s]] else chunk, length)
+            collided, span = j < length and bool(x[s, j + 1] >= clearance), period
+            for turn in cols[edges[s]:edges[s + 1]]:
+                if turn >= j:
+                    break
+                yt, vt = y[s, turn], v[s, turn]
+                # a peak faces the stroke, a dip zero
+                side, offset = (1.0, x_eq - clearance) if vt > 0.0 else (-1.0, x_eq)
+                # unsolved when the energy bound keeps x off that wall
+                if side * offset + slack * math.sqrt(yt * yt + vt * vt / w2) < 0.0:
+                    continue
+                tau = _event_time(alpha, w2, 0.0, vt, -w2 * yt - 2.0 * alpha * vt, period)
+                f00, f01, _, _ = _transition(alpha, w2, tau)
+                if side * (offset + f00 * yt + f01 * vt) >= 0.0:
+                    j, collided, span = turn, side > 0.0, tau
+                    break
             if keep:
-                record = slice(substeps, end, substeps)
-                parts[s].append((x[s, record], v[s, record]))
-            elif end > substeps:
-                recorded = samples[s, :(end - 1) // substeps]
+                parts[s].append((x[s, 1:j + 1], v[s, 1:j + 1]))
+            elif j:
+                recorded = samples[s, :j]
                 top[s] = max(top[s], float(np.max(recorded)))
                 parts[s].append(recorded)
 
-            if event:
-                j = end - 1  # the event step starts from state j
-                alpha = 0.5 * damping[s] / mass
-                collided = bool(x[s, end] >= clearance)
+            if j < length:  # the event step starts from state j
                 tau = _event_time(alpha, w2, x_eq - (clearance if collided else 0.0),
-                                  y[s, j], v[s, j], dt)
+                                  y[s, j], v[s, j], span)
                 f00, f01, f10, f11 = _transition(alpha, w2, tau)
                 x_ev = x_eq + f00 * y[s, j] + f01 * v[s, j]
                 v_ev = f10 * y[s, j] + f11 * v[s, j]
@@ -311,10 +327,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                     top[s] = max(top[s], last)
                     parts[s].append([last])
                 finish(s, TERM_COLLISION if collided else TERM_REBOUND,
-                       dt * (done[s] + (j // substeps) * substeps), (done[s] + j) * dt + tau)
+                       (done[s] + j) * period, (done[s] + j) * period + tau)
                 continue
-            if done[s] + length == total:
-                finish(s, TERM_MAX_TIME, dt * (total - substeps), dt * total)
+            if done[s] + length == max_records:
+                finish(s, TERM_MAX_TIME, period * (max_records - 1), period * max_records)
                 continue
 
             state[:, s] = y[s, chunk], v[s, chunk]

@@ -253,6 +253,9 @@ def cmd_synth(args) -> int:
         raise ConfigurationError(f"noise level must be >= 0, got {args.noise}")
     params = _params(args)
     altitudes = _parse_altitudes_cm(args.altitudes_cm)
+    no_drop = [h * 100.0 for h in altitudes if not h > 0.0]  # a peak needs a drop
+    if no_drop:
+        raise ConfigurationError(f"--altitudes-cm must be > 0 for synth, got {no_drop[0]:g} cm")
     rng = np.random.default_rng(args.seed)
 
     peaks, _ = drop_peaks(params, _scenario(args, 0.0), [params.damping], altitudes,

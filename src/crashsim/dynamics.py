@@ -20,12 +20,12 @@ event; bounce chains are out of scope.
 
 Integration
 -----------
-The contact ODE is linear and time-invariant, so the state advances by its
-exact discrete-time propagator exp(A*h) on internal steps of h = 1/sample_rate,
-divided until h <= 1e-4 s. Termination events are bracketed on the internal
-step grid and located inside their step on the closed-form solution; the
-final sample holds the exact state at the event. Steps with omega_n*h > pi
-are refused: beyond that a rebound or collision can fall between two steps.
+The contact ODE is linear and time-invariant, so the state advances from
+sample to sample by its exact propagator exp(A*h), h = 1/sample_rate.
+Termination events are located inside their step on the closed-form solution,
+also where the stroke or zero is touched between two samples; the final sample
+holds the exact state at the event. Sample periods with omega_n*h > pi are
+refused: a step could then hold both a peak and a dip.
 
 One chunk loop, _kernels.propagate_contacts, propagates every contact.
 simulate_impact keeps the samples of one contact; drop_peaks keeps only the
@@ -53,10 +53,6 @@ from . import _kernels
 from .errors import DomainError, NumericalError, UnsupportedRegimeError
 
 STANDARD_GRAVITY = 9.81
-
-# hard cap on the internal step, which is the event-search resolution;
-# 1/sample_rate is divided until it fits
-MAX_SUBSTEP_S = 1e-4
 
 # contact horizon [s]: a contact with no event by then ends as MAX_TIME
 MAX_TIME_S = 1.0
@@ -138,11 +134,9 @@ class Termination(Enum):
     MAX_TIME = "max_time_reached"
 
 
-_TERM_FROM_CODE = {
-    _kernels.TERM_REBOUND: Termination.REBOUND,
-    _kernels.TERM_COLLISION: Termination.COLLISION,
-    _kernels.TERM_MAX_TIME: Termination.MAX_TIME,
-}
+# indexed by the termination codes of _kernels.propagate_contacts
+_TERMINATIONS = np.array([Termination.REBOUND, Termination.COLLISION,
+                          Termination.MAX_TIME], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -187,23 +181,20 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
     return math.sqrt(2.0 * gravity * drop_altitude)
 
 
-def _step_grid(sample_rate: float, max_time: float) -> tuple[float, int, int]:
-    """(sample period, internal steps per sample, samples to max_time)."""
+def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
+               v0s) -> tuple[float, int]:
+    """(sample period, samples to max_time) for contacts that start at the
+    speeds v0s; refuses omega_n*h > pi, where a step could hold both a peak
+    and a dip, unless no contact moves."""
     period = 1.0 / float(sample_rate)
-    substeps = max(1, math.ceil(period / MAX_SUBSTEP_S))
-    return period, substeps, math.ceil(float(max_time) * float(sample_rate))
-
-
-def _require_resolved(params: ImpactParams, dt: float) -> None:
-    """Refuse an internal step over half a natural period (omega_n*dt > pi),
-    where a rebound or collision could pass unseen between steps."""
-    if params.natural_frequency * dt > math.pi:
+    if any(v0s) and params.natural_frequency * period > math.pi:
         raise NumericalError(
-            f"internal step {dt:.6g} s exceeds half the natural period "
+            f"sample period {period:.6g} s exceeds half the natural period "
             f"{math.pi / params.natural_frequency:.6g} s; a rebound or "
-            f"collision could fall between steps",
-            time=dt,
+            f"collision could fall between samples",
+            time=period,
         )
+    return period, math.ceil(float(max_time) * float(sample_rate))
 
 
 def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
@@ -216,8 +207,7 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     decouples the initial speed from the gravity that forces the contact.
     A zero v0 is a zero-length contact: the trajectory holds the single
     initial sample and terminates as a rebound. Raises NumericalError when
-    the internal step exceeds half a natural period (omega_n*h > pi), where
-    events could pass unseen between steps.
+    omega_n*h > pi, where a step could hold both a peak and a dip.
     """
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:
@@ -225,19 +215,15 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     if not _require_finite("max_time", max_time) > 0.0:
         raise DomainError(f"max_time must be > 0, got {max_time}")
 
-    period, substeps, max_records = _step_grid(scenario.sample_rate, max_time)
-    if v0:  # a zero-length contact never steps
-        _require_resolved(params, period / substeps)
+    period, max_records = _step_grid(params, scenario.sample_rate, max_time, [v0])
     _, codes, kept = _kernels.propagate_contacts(
         params.mass, [params.damping], params.stiffness, params.gravity, [v0],
-        scenario.clearance, period, substeps, max_records, keep=True,
+        scenario.clearance, period, max_records, keep=True,
     )
     t, x, v, a = kept[0, 0]
-    termination = _TERM_FROM_CODE[int(codes[0, 0])]
+    termination = _TERMINATIONS[codes][0, 0]
 
-    # a sample step of h from y = (x - x_eq, v) dissipates y'Q(h)y; Q(h)
-    # over a period equals the sum over its internal steps, since
-    # Q(2t) = Q(t) + Phi(t)'Q(t)Phi(t)
+    # a sample step of h from y = (x - x_eq, v) dissipates y'Q(h)y
     alpha, w2 = 0.5 * params.damping / params.mass, params.stiffness / params.mass
     y, u = x[:-1] - params.gravity / w2, v[:-1]
     dissipation = _kernels.dissipated(
@@ -284,18 +270,13 @@ def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes
     if dampings.ndim != 1 or not np.all(np.isfinite(dampings) & (dampings >= 0.0)):
         raise DomainError(f"dampings must be finite and >= 0, got {dampings!r}")
     v0s = [impact_velocity(h, params.gravity) for h in altitudes]
-    period, substeps, max_records = _step_grid(scenario.sample_rate, MAX_TIME_S)
-    if any(v0s):  # zero-length contacts never step, as in simulate_impact
-        _require_resolved(params, period / substeps)
-
+    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, v0s)
     peaks, codes, _ = _kernels.propagate_contacts(
         params.mass, dampings, params.stiffness, params.gravity, v0s,
-        scenario.clearance, period, substeps, max_records,
+        scenario.clearance, period, max_records,
         None if use_raw_peak else scenario.sensor_cutoff,
     )
-    terminations = np.array([_TERM_FROM_CODE[int(c)] for c in codes.ravel()],
-                            dtype=object).reshape(codes.shape)
-    return peaks, terminations
+    return peaks, _TERMINATIONS[codes]
 
 
 def analytic_solution(params: ImpactParams, v0: float, t):

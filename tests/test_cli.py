@@ -55,6 +55,13 @@ class TestSimulate:
                        "--mass", "1e-8", "--stiffness", "1e150", "--damping", "0",
                        "--sample-rate-hz", "1500") == 3
 
+    def test_stiff_frame_at_low_rate_exit_3(self, tmp_path, capsys):
+        # omega_n/fs ~ 3.2 > pi: a 500 us step could hold both a peak and a dip
+        assert run_cli("--out-dir", tmp_path, "simulate", "--altitude-cm", "50",
+                       "--sample-rate-hz", "2000", "--stiffness", "1e7") == 3
+        assert "sample period" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_defaults_are_the_model_defaults(self):
         args = cli.build_parser().parse_args(["simulate", "--altitude-cm", "100"])
         assert cli._scenario(args, args.altitude_cm / 100.0) == DropScenario(1.0)
@@ -104,6 +111,16 @@ class TestSynth:
     def test_zero_repeats_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "100",
                        "--repeats", "0") == 2
+
+    def test_nonpositive_altitude_exit_2_before_simulating(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        for altitudes, bad in (("0,80", "0"), ("80,-5", "-5")):
+            assert run_cli("--out-dir", out, "synth", "--altitudes-cm", altitudes,
+                           "--write-traces") == 2
+            err = capsys.readouterr().err
+            assert "--altitudes-cm" in err
+            assert f"got {bad} cm" in err
+            assert not out.exists()
 
     def test_write_traces(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "50,100",

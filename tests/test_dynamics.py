@@ -12,6 +12,7 @@ from crashsim import (
     Trajectory,
     UnsupportedRegimeError,
     analytic_solution,
+    drop_peaks,
     impact_velocity,
     peak_acceleration,
     simulate_contact,
@@ -26,6 +27,11 @@ V_IMPACT_262CM = 7.169686185601152
 # solution for the reference frame at h = 0.5 m; the peak sits at t = 0
 PEAK_RAW_050CM = 588.0166797633427
 PEAK_PROPER_050CM = 597.8266797633427
+
+# found by bisection on the closed-form solution: from this altitude the
+# reference frame's first post-peak minimum dips ~3e-10 m below zero between
+# two 20 kHz samples that both sit ~3e-10 m above it
+DIP_ALTITUDE = 0.04907112
 
 
 class TestImpactVelocity:
@@ -149,8 +155,8 @@ class TestSimulateContact:
         assert exc_info.value.time > 0.0
 
     def test_substepping_matches_fine_sampling(self, reference_params):
-        # a 5 kHz scenario integrates on capped 1e-4 s substeps; its samples
-        # must sit on the same trajectory as a natively fine run
+        # a 5 kHz scenario steps 2e-4 s at a time; its samples must sit on
+        # the same trajectory as a natively fine run
         coarse = simulate_contact(reference_params,
                                   DropScenario(1.0, sample_rate=5000.0))
         x_ref, v_ref, _ = analytic_solution(reference_params,
@@ -290,6 +296,68 @@ class TestEventCorrectness:
         expected_collision = float(np.max(x_ref)) >= scenario.clearance
         traj = simulate_contact(params, scenario)
         assert (traj.termination is Termination.COLLISION) == expected_collision
+
+    @pytest.mark.parametrize("altitude", [0.3, 0.8, 1.0, 1.2])
+    def test_peak_between_samples_collides(self, reference_params, altitude):
+        # the 20 kHz samples pass under the peak by 9-106 nm at these
+        # altitudes; a stroke in that gap is reached between two samples
+        wide = simulate_contact(reference_params, DropScenario(altitude, clearance=1.0))
+        k = int(np.argmax(wide.compression))
+        t = np.linspace(wide.time[k - 1], wide.time[k + 1], 200001)
+        x_ref, _, _ = analytic_solution(reference_params, wide.impact_velocity, t)
+        assert float(np.max(x_ref)) > wide.compression[k]
+        stroke = 0.5 * (wide.compression[k] + float(np.max(x_ref)))
+        scenario = DropScenario(altitude, clearance=stroke)
+
+        traj = simulate_contact(reference_params, scenario)
+        assert traj.termination is Termination.COLLISION
+        assert traj.compression[-1] == pytest.approx(stroke, rel=1e-12)
+        assert np.all(traj.compression[:-1] < stroke)
+        for use_raw_peak in (True, False):
+            _, terminations = drop_peaks(reference_params, scenario,
+                                         [reference_params.damping], [altitude], use_raw_peak)
+            assert terminations[0, 0] is Termination.COLLISION
+
+    def test_dip_between_samples_rebounds(self, reference_params):
+        scenario = DropScenario(DIP_ALTITUDE)
+        v0 = impact_velocity(DIP_ALTITUDE)
+        # over the first damped period: the samples stay above zero, the
+        # closed form dips below it
+        period = 2.0 * math.pi / (reference_params.natural_frequency
+                                  * math.sqrt(1.0 - reference_params.damping_ratio ** 2))
+        t = np.arange(1, int(period * scenario.sample_rate)) / scenario.sample_rate
+        x_sampled, _, _ = analytic_solution(reference_params, v0, t)
+        x_fine, _, _ = analytic_solution(reference_params, v0, np.linspace(0.0, period, 2000001))
+        assert np.min(x_sampled) > 0.0 > np.min(x_fine)
+
+        traj = simulate_contact(reference_params, scenario)
+        assert traj.termination is Termination.REBOUND
+        assert abs(traj.compression[-1]) < 1e-12
+        assert traj.time[-1] < period
+        for use_raw_peak in (True, False):
+            _, terminations = drop_peaks(reference_params, scenario,
+                                         [reference_params.damping], [DIP_ALTITUDE],
+                                         use_raw_peak)
+            assert terminations[0, 0] is Termination.REBOUND
+
+    def test_sample_period_over_half_natural_period_refused(self):
+        # at omega_n/fs > pi a step could hold both a peak and a dip
+        scenario = DropScenario(0.5, sample_rate=2000.0)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            stiffness = 0.241 * (math.pi * scenario.sample_rate * factor) ** 2
+            params = ImpactParams(mass=0.241, damping=0.0, stiffness=stiffness)
+            # zero-length contacts never step, so they are never refused
+            assert simulate_impact(params, 0.0, scenario).termination is Termination.REBOUND
+            drop_peaks(params, scenario, [0.0], [0.0])
+            if factor < 1.0:
+                assert simulate_impact(params, 1.0, scenario).termination is Termination.REBOUND
+                drop_peaks(params, scenario, [0.0], [0.5])
+                continue
+            with pytest.raises(NumericalError) as exc_info:
+                simulate_impact(params, 1.0, scenario)
+            assert exc_info.value.time == pytest.approx(1.0 / scenario.sample_rate)
+            with pytest.raises(NumericalError):
+                drop_peaks(params, scenario, [0.0], [0.0, 0.5])
 
 
 class TestPeakAcceleration:
