@@ -209,7 +209,9 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
 
     # per slot: transition entries, carried state, damping, progress, the
     # largest input so far and the stretches of its samples: (x, v) when
-    # keep, else the filter inputs
+    # keep, else the filter inputs; a raw peak needs only the largest input,
+    # so its chunk stretches, each a view that pins a whole pass's samples,
+    # are not kept
     slots = min(ROW_BLOCK, peaks.size)
     phi = np.zeros((4, slots, chunk + 1))
     state = np.zeros((2, slots))
@@ -312,7 +314,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             elif j:
                 recorded = samples[s, :j]
                 top[s] = max(top[s], float(np.max(recorded)))
-                parts[s].append(recorded)
+                if filtered:
+                    parts[s].append(recorded)
 
             if j < length:  # the event step starts from state j
                 tau = _event_time(alpha, w2, x_eq - (clearance if collided else 0.0),

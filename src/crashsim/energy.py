@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    MAX_TIME_S,
     DropScenario,
     ImpactParams,
     Termination,
@@ -69,10 +68,10 @@ class EnergyBreakdown:
         }
 
 
-def energy_partition(params: ImpactParams, scenario: DropScenario,
-                     max_time: float = MAX_TIME_S) -> EnergyBreakdown:
-    """Simulate one drop and partition its energy budget."""
-    traj = simulate_contact(params, scenario, max_time)
+def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBreakdown:
+    """Simulate one drop, up to dynamics.MAX_TIME_S of contact, and partition
+    its energy budget."""
+    traj = simulate_contact(params, scenario)
     m, k, g = params.mass, params.stiffness, params.gravity
     h = scenario.drop_altitude
 
@@ -139,10 +138,12 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
     """Smallest drop altitude [m] that ends in a collision, by bisection.
 
     Returns math.inf when no collision occurs up to altitude_cap. Resolution
-    is `tolerance` (1 mm by default); assumes the collision outcome is
-    monotone in altitude, which holds for this linear contact model. Each
-    step asks drop_peaks for the outcome, along with the raw peak that needs
-    no filter, so a contact that settles inside the stroke stops early.
+    is `tolerance` (1 mm by default); the bisection also stops when the
+    interval no longer shrinks, once its midpoint rounds to an end. Assumes
+    the collision outcome is monotone in altitude, which holds for this
+    linear contact model. Each step asks drop_peaks for the outcome, along
+    with the raw peak that needs no filter, so a contact that settles inside
+    the stroke stops early.
     """
     if not (math.isfinite(altitude_cap) and altitude_cap > 0.0):
         raise ConfigurationError(f"altitude_cap must be > 0, got {altitude_cap}")
@@ -157,8 +158,7 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
     if not collides(altitude_cap):
         return math.inf
     lo, hi = 0.0, altitude_cap
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tolerance and lo < (mid := 0.5 * (lo + hi)) < hi:
         if collides(mid):
             hi = mid
         else:

@@ -14,16 +14,13 @@ not used) and one DropScenario, each checked once, when it is built.
 
 Model peaks come from one batched evaluator, dynamics.drop_peaks: the grid
 and both bracket endpoints are one (66, A) call for A distinct altitudes,
-and each golden-section step is one (1, A) call. It runs the chunk loop that
-simulate_contact runs, on the same samples, but propagates the contacts
-together and keeps no samples. A contact ends at its rebound or
-collision, or as soon as its outcome and peak can no longer change: the
-energy v**2/2 + w2*(x - x_eq)**2/2 never grows, so it bounds both the
-compression and every later |a - g|; once the compression bound lies inside
-the stroke and the acceleration bound below the peak so far, the contact
-would run to max_time without a new peak (for a filter with
-tan(pi*fc/fs) <= 1, whose output never exceeds its inputs and its last
-output). The peaks are the full trajectories' peaks bit for bit.
+and each golden-section step is one (1, A) call; why its early-stopped
+peaks equal the full trajectories' peaks is set out in
+_kernels.propagate_contacts and in README "Performance". fit_damping
+records every (damping, loss) it evaluates, in order, and returns the first
+least-loss entry of that record. The golden-section search stops when its
+interval is no wider than the tolerance, or when its two probes no longer
+lie strictly inside it, so it always ends.
 """
 
 from __future__ import annotations
@@ -114,33 +111,29 @@ def model_peak(params: ImpactParams, scenario: DropScenario,
     return float(peaks[0, 0])
 
 
-def _model_peaks(setup: FitSetup, dampings, altitudes) -> np.ndarray:
-    """(B, A) model peaks [m/s²] of every (damping, altitude) pair."""
-    peaks, _ = drop_peaks(setup.params, setup.scenario, dampings, altitudes,
-                          setup.use_raw_peak)
-    return peaks
-
-
-def _mse(peaks: np.ndarray, measured: np.ndarray) -> float:
-    return float(np.mean(np.square(peaks - measured)))
-
-
-def _loss_columns(observations: list[PeakObservation]):
-    """Distinct altitudes, each observation's column among them, and the
-    measured peaks: model peaks for repeated altitudes are computed once."""
+def _losses(setup: FitSetup, observations: list[PeakObservation]):
+    """losses(dampings): the MSE [(m/s²)²] between model and measured peaks
+    for each damping, from one batched drop_peaks call. Model peaks for
+    repeated altitudes are computed once."""
     if not observations:
         raise DomainError("observation list is empty")
     altitudes = sorted({o.drop_altitude for o in observations})
     column = {h: i for i, h in enumerate(altitudes)}
-    return (altitudes, [column[o.drop_altitude] for o in observations],
-            np.array([o.measured_peak for o in observations]))
+    columns = [column[o.drop_altitude] for o in observations]
+    measured = np.array([o.measured_peak for o in observations])
+
+    def losses(dampings) -> list[float]:
+        peaks, _ = drop_peaks(setup.params, setup.scenario, dampings, altitudes,
+                              setup.use_raw_peak)
+        return [float(np.mean(np.square(row[columns] - measured))) for row in peaks]
+
+    return losses
 
 
 def mse_loss(damping: float, setup: FitSetup,
              observations: list[PeakObservation]) -> float:
     """Mean squared error [(m/s²)²] between model peaks and measured peaks."""
-    altitudes, columns, measured = _loss_columns(observations)
-    return _mse(_model_peaks(setup, [damping], altitudes)[0, columns], measured)
+    return _losses(setup, observations)([damping])[0]
 
 
 def fit_damping(setup: FitSetup, observations: list[PeakObservation],
@@ -149,12 +142,15 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     """Minimize the peak-matching MSE over the damping coefficient.
 
     A 64-point log-spaced grid over the bracket locates the best cell, then
-    golden-section search refines it to `tolerance` [N·s/m]. The bracket
-    endpoints are also evaluated so the returned loss never exceeds either.
-    Deterministic for fixed inputs. The default bracket is (0, 5*c_crit];
-    an end given as None takes its default.
+    golden-section search refines it to `tolerance` [N·s/m]; the search also
+    stops when its interval no longer shrinks, as happens once `tolerance`
+    falls below the float spacing of the cell. The bracket endpoints are
+    also evaluated so the returned loss never exceeds either. The result is
+    the first least-loss damping evaluated. Deterministic for fixed inputs.
+    The default bracket is (0, 5*c_crit]; an end given as None takes its
+    default.
     """
-    altitudes, columns, measured = _loss_columns(observations)
+    losses = _losses(setup, observations)
     c_low, c_high = bracket if bracket is not None else (None, None)
     c_low = 0.0 if c_low is None else float(c_low)
     c_high = 5.0 * setup.params.critical_damping if c_high is None else float(c_high)
@@ -164,60 +160,38 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
 
-    def losses(dampings) -> list[float]:
-        peaks = _model_peaks(setup, dampings, altitudes)
-        return [_mse(row[columns], measured) for row in peaks]
+    record = []  # every (damping, loss) evaluated, in order
 
-    def loss(c: float) -> float:
-        return losses([c])[0]
+    def evaluate(*dampings) -> list[float]:
+        values = losses(dampings)
+        record.extend(zip(dampings, values))
+        return values
 
     # coarse scan: log-spaced grid above c_low (log spacing needs a positive
-    # start), evaluated in one batch with both endpoints
+    # start), evaluated in one batch with both endpoints, so the result
+    # provably beats both
     eps = min(max(1e-3, 1e-6 * (c_high - c_low)), 0.5 * (c_high - c_low))
     grid = np.geomspace(c_low + eps, c_high, 64)
-    scan = losses([*grid, c_low, c_high])
-    grid_losses = scan[:len(grid)]
-    evaluations = len(scan)
-
-    best_c = float(grid[int(np.argmin(grid_losses))])
-    best_f = float(min(grid_losses))
-
-    # endpoints, so the result provably beats both
-    for c_end, f_end in zip((c_low, c_high), scan[len(grid):]):
-        if f_end < best_f:
-            best_c, best_f = c_end, f_end
+    i = int(np.argmin(evaluate(*grid.tolist(), c_low, c_high)[:len(grid)]))
 
     # golden-section refinement inside the bracketing grid cell
-    i = int(np.argmin(grid_losses))
-    a = float(grid[max(i - 1, 0)])
+    a = c_low if i == 0 else float(grid[i - 1])
     b = float(grid[min(i + 1, len(grid) - 1)])
-    if i == 0:
-        a = c_low
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    f1, f2 = losses([x1, x2])
-    evaluations += 2
-    if f1 < best_f:
-        best_c, best_f = x1, f1
-    if f2 < best_f:
-        best_c, best_f = x2, f2
-    while b - a > tolerance:
+    f1, f2 = evaluate(x1, x2)
+    while b - a > tolerance and a < x1 < x2 < b:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - INV_PHI * (b - a)
-            f1 = loss(x1)
-            evaluations += 1
-            if f1 < best_f:
-                best_c, best_f = x1, f1
+            f1 = evaluate(x1)[0]
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + INV_PHI * (b - a)
-            f2 = loss(x2)
-            evaluations += 1
-            if f2 < best_f:
-                best_c, best_f = x2, f2
+            f2 = evaluate(x2)[0]
 
+    damping, loss = min(record, key=lambda entry: entry[1])
     margin = 2.0 * max(tolerance, eps)
-    at_boundary = (best_c - c_low) <= margin or (c_high - best_c) <= margin
-    return FitResult(damping=best_c, loss=best_f, evaluations=evaluations,
+    at_boundary = (damping - c_low) <= margin or (c_high - damping) <= margin
+    return FitResult(damping=damping, loss=loss, evaluations=len(record),
                      bracket=(c_low, c_high), at_boundary=at_boundary)

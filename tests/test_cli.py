@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -11,6 +12,13 @@ from crashsim.cli import main
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_child(*args):
+    """`python -m crashsim` in a child process, so a search that never ends
+    fails its test at the timeout instead of hanging the suite."""
+    return subprocess.run([sys.executable, "-m", "crashsim", *map(str, args)],
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestSimulate:
@@ -200,6 +208,17 @@ class TestFit:
         result = json.loads((tmp_path / "fit.json").read_text())
         assert 0.0 <= result["damping"] <= 0.0005
 
+    def test_tolerance_below_float_spacing_returns(self, tmp_path):
+        # 5e-15 N·s/m is under the float spacing of the refined cell near 46
+        assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "50,100,150",
+                       "--repeats", "5", "--damping", "46") == 0
+        proc = run_child("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                         "--stiffness", "7040", "--tolerance", "5e-15")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads((tmp_path / "fit.json").read_text())
+        low, high = result["bracket"]
+        assert low <= result["damping"] <= high
+
     def test_numerical_blowup_exit_3(self, tmp_path):
         (tmp_path / "peaks.csv").write_text("altitude_cm,peak_ms2,label\n100,500,a\n")
         assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
@@ -237,6 +256,15 @@ class TestEnergy:
         report = json.loads((tmp_path / "energy.json").read_text())
         assert report["collision_threshold_altitude_m"] is None
 
+    def test_threshold_bisection_below_float_spacing_returns(self, tmp_path):
+        # with a 1e6 m stroke the threshold lies near 5.6e15 m, where the
+        # float spacing (1 m) exceeds the 1 mm bisection tolerance
+        proc = run_child("--out-dir", tmp_path, "energy", "--altitudes-cm", "100",
+                         "--threshold-cap-m", "1e30", "--clearance-mm", "1e9")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "energy.json").read_text())
+        assert math.isfinite(report["collision_threshold_altitude_m"])
+
     def test_nonpositive_threshold_cap_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "100",
                        "--threshold-cap-m", "0") == 2
@@ -247,8 +275,7 @@ class TestEnergy:
 
 class TestEntryPoint:
     def test_module_help(self):
-        proc = subprocess.run([sys.executable, "-m", "crashsim", "--help"],
-                              capture_output=True, text=True)
+        proc = run_child("--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "synth" in proc.stdout

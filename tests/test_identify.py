@@ -161,6 +161,7 @@ class TestFitDamping:
         assert result.damping == pytest.approx(46.0, abs=0.5)
         assert not result.at_boundary
         assert result.loss >= 0.0
+        assert result.loss == mse_loss(result.damping, REFERENCE_SETUP, observations)
         assert result.bracket[0] <= result.damping <= result.bracket[1]
 
     def test_result_beats_bracket_endpoints(self):
