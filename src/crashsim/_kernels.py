@@ -181,10 +181,13 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
       sum to 1, so every later output is at most the largest of the current
       output and the later inputs.
 
-    Once that bound is below the running peak, the peak is final. The
-    filtered peak is read from lowpass on the stored samples; its outputs
-    before the last are those of the full trace, bit for bit. For k > 1 the
-    filter can overshoot its inputs and contacts stop only at events.
+    Once that bound is below the peak so far, the peak is final. One reader,
+    peak, settles each contact without `keep`, at its end or at this stop:
+    its largest reading is the raw peak and, for k <= 1, bounds the filtered
+    one, so the stop filters only once the running largest reading exceeds
+    the bound. Outputs before the last are the full trace's, bit for bit; the
+    last has two inputs at most the bound, so it stays below the peak. For
+    k > 1 the filter can overshoot its inputs and contacts stop only at events.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -207,11 +210,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         """a = g - (c*v + k*x)/m of states (x, v)."""
         return gravity - (c * v + stiffness * x) * (1.0 / mass)
 
-    # per slot: transition entries, carried state, damping, progress, the
-    # largest input so far and the stretches of its samples: (x, v) when
-    # keep, else the filter inputs; a raw peak needs only the largest input,
-    # so its chunk stretches, each a view that pins a whole pass's samples,
-    # are not kept
+    # per slot: transition entries, carried state, damping, progress, largest
+    # reading so far and the record: stretches of (x, v) when keep, else readings
     slots = min(ROW_BLOCK, peaks.size)
     phi = np.zeros((4, slots, chunk + 1))
     state = np.zeros((2, slots))
@@ -223,9 +223,17 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     table, table_b = None, None
     pending = iter(range(peaks.size))
 
-    def settle(s, code, peak):
-        codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, peak
+    def settle(s, code, value):
+        codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, value
         row_of[s] = None
+
+    def peak(s, k_last, bound):
+        """Slot s's peak, or None while it is at most bound."""
+        if top[s] <= bound:
+            return None
+        trace = np.concatenate(parts[s])
+        value = float((np.abs(lowpass(trace, k_mid, k_last)) if filtered else trace).max())
+        return None if value <= bound else value
 
     def finish(s, code, t_before, t_end):
         """Settle slot s at its last sample, taken at t_end; t_before is the
@@ -237,12 +245,9 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             t[-1] = t_end
             kept.flat[row_of[s]] = (t, x, v, accel(damping[s], x, v))
             settle(s, code, math.nan)
-        elif filtered:
-            k_last = prewarped_gain(cutoff, float(t_end - t_before))
-            trace = np.concatenate(parts[s])
-            settle(s, code, float(np.max(np.abs(lowpass(trace, k_mid, k_last)))))
         else:
-            settle(s, code, top[s])
+            k_last = prewarped_gain(cutoff, float(t_end - t_before)) if filtered else None
+            settle(s, code, peak(s, k_last, -math.inf))
 
     while True:
         for s in range(slots):
@@ -252,9 +257,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                     break
                 b, col = divmod(row, v0s.size)
                 c, v0 = dampings[b], v0s[col]
-                row_of[s], damping[s], done[s] = row, c, 0
-                top[s] = abs(accel(c, 0.0, v0) - shift)
-                parts[s] = [([0.0], [v0])] if keep else [[top[s]]]
+                row_of[s], damping[s], done[s], top[s] = row, c, 0, 0.0
+                parts[s] = [([0.0], [v0])] if keep else [[abs(accel(c, 0.0, v0) - shift)]]
                 if v0 == 0.0:
                     # a zero-length contact ends at its one sample (a = g),
                     # which the filter passes unchanged over a step of 0
@@ -281,7 +285,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         edges = np.searchsorted(rows, np.arange(slots + 1)).tolist()
         cols = cols.tolist()
         if not keep:
-            samples = np.abs(accel(damping[:, None], x[:, 1:], v[:, 1:]) - shift)
+            samples = np.abs(accel(damping[:, None], x, v) - shift)
         if stops:
             # twice the energy one sample before the chunk's end bounds the rest
             ye, ve = y[:, chunk - 1], v[:, chunk - 1]
@@ -309,13 +313,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 if side * (offset + f00 * yt + f01 * vt) >= 0.0:
                     j, collided, span = turn, side > 0.0, tau
                     break
-            if keep:
-                parts[s].append((x[s, 1:j + 1], v[s, 1:j + 1]))
-            elif j:
-                recorded = samples[s, :j]
-                top[s] = max(top[s], float(np.max(recorded)))
-                if filtered:
-                    parts[s].append(recorded)
+            parts[s].append((x[s, 1:j + 1], v[s, 1:j + 1]) if keep else samples[s, 1:j + 1])
 
             if j < length:  # the event step starts from state j
                 tau = _event_time(alpha, w2, x_eq - (clearance if collided else 0.0),
@@ -326,9 +324,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 if keep:
                     parts[s].append(([x_ev], [v_ev]))
                 else:
-                    last = abs(accel(damping[s], x_ev, v_ev) - shift)
-                    top[s] = max(top[s], last)
-                    parts[s].append([last])
+                    parts[s].append([abs(accel(damping[s], x_ev, v_ev) - shift)])
                 finish(s, TERM_COLLISION if collided else TERM_REBOUND,
                        (done[s] + j) * period, (done[s] + j) * period + tau)
                 continue
@@ -340,22 +336,13 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             done[s] += chunk
             if not stops:
                 continue
+            top[s] = max(top[s], samples[s].max())
             radius = slack * math.sqrt(energy2[s] / w2)
             if not (x_eq - radius > 0.0 and x_eq + radius < clearance):
                 continue
             bound = slack * (shift + math.sqrt(energy2[s]) * (w + damping[s] / mass))
-            if bound >= top[s]:
-                continue
-            if not filtered:
-                settle(s, TERM_MAX_TIME, top[s])
-                continue
-            # the filtered peak is at most the largest input; outputs before
-            # the last are the full trace's
-            trace = np.concatenate(parts[s])
-            parts[s] = [trace]
-            peak = float(np.max(np.abs(lowpass(trace, k_mid, k_mid)[:-1])))
-            if bound < peak:
-                settle(s, TERM_MAX_TIME, peak)
+            if (value := peak(s, k_mid, bound)) is not None:
+                settle(s, TERM_MAX_TIME, value)
     return peaks, codes, kept
 
 

@@ -173,12 +173,14 @@ class PeakAcceleration(NamedTuple):
 
 
 def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> float:
-    """Free-fall speed sqrt(2*g*h) at first ground contact [m/s]."""
+    """Free-fall speed sqrt(2*g*h) at first ground contact [m/s]; raises
+    DomainError when it overflows."""
     if _require_finite("drop_altitude", drop_altitude) < 0.0:
         raise DomainError(f"drop_altitude must be >= 0, got {drop_altitude}")
     if _require_finite("gravity", gravity) < 0.0:
         raise DomainError(f"gravity must be >= 0, got {gravity}")
-    return math.sqrt(2.0 * gravity * drop_altitude)
+    return _require_finite(f"impact velocity of a {drop_altitude!r} m drop",
+                           math.sqrt(2.0 * gravity * drop_altitude))
 
 
 def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,

@@ -31,6 +31,7 @@ from .dynamics import (
     ImpactParams,
     Termination,
     drop_peaks,
+    impact_velocity,
     simulate_contact,
 )
 from .errors import ConfigurationError, DomainError
@@ -147,6 +148,10 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
     """
     if not (math.isfinite(altitude_cap) and altitude_cap > 0.0):
         raise ConfigurationError(f"altitude_cap must be > 0, got {altitude_cap}")
+    try:
+        impact_velocity(altitude_cap, params.gravity)
+    except DomainError as exc:
+        raise ConfigurationError(f"altitude_cap {altitude_cap!r}: {exc}") from exc
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
 

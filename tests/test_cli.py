@@ -269,6 +269,14 @@ class TestEnergy:
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "100",
                        "--threshold-cap-m", "0") == 2
 
+    def test_threshold_cap_without_finite_impact_velocity_exit_2(self, tmp_path, capsys):
+        # sqrt(2*g*h) overflows for a 1e308 m cap; refused before any drop
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "energy", "--altitudes-cm", "100",
+                       "--threshold-cap-m", "1e308") == 2
+        assert "altitude_cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_altitude_list_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "50,oops") == 2
 

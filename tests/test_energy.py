@@ -211,9 +211,10 @@ class TestCollisionThreshold:
             collision_threshold_altitude(reference_params, make_scenario(0.0),
                                          tolerance=tolerance)
 
-    @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan, math.inf])
+    # a 1e308 m cap is finite, but its impact velocity is not
+    @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan, math.inf, 1e308])
     def test_invalid_altitude_cap_rejected(self, reference_params, make_scenario, cap):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="altitude_cap"):
             collision_threshold_altitude(reference_params, make_scenario(0.0),
                                          altitude_cap=cap)
 

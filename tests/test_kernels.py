@@ -140,6 +140,42 @@ class TestLowpassMatchesLoop:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestStopFiltersOnce:
+    """A record is filtered only once its largest reading exceeds the stop's
+    bound, so every contact is filtered once, at its stop or at its end."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        lengths = []
+        lowpass = _kernels.lowpass
+
+        def counting(values, k_mid, k_last):
+            lengths.append(values.size)
+            return lowpass(values, k_mid, k_last)
+
+        monkeypatch.setattr(_kernels, "lowpass", counting)
+        return lengths
+
+    # overdamped drops of a fraction of a micrometre read barely above 1 g:
+    # their energy band lies inside the stroke at every chunk boundary long
+    # before the bound falls below their peak
+    @pytest.mark.parametrize("zeta,altitude", [(3.0, 1e-7), (2.0, 1e-6)])
+    def test_near_zero_overdamped_drop(self, passes, zeta, altitude):
+        params = params_at(zeta)
+        scenario = DropScenario(0.0, sample_rate=100000.0)
+        _, terminations = drop_peaks(params, scenario, [params.damping], [altitude])
+        assert terminations[0, 0] is Termination.MAX_TIME
+        assert len(passes) == 1
+        assert passes[0] < 100000  # the stop settled it before the horizon
+
+    def test_reference_fit_grid(self, passes):
+        # the 64-point grid and the two bracket ends of a default fit
+        params = ImpactParams(MASS, 46.0, STIFFNESS)
+        dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
+        peaks, _ = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
+        assert len(passes) == peaks.size == 198
+
+
 def full_trajectory_outcome(params, scenario, use_raw_peak):
     """Peak and termination read from the whole simulated trajectory."""
     traj = simulate_contact(params, scenario)
