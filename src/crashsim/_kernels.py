@@ -41,25 +41,30 @@ ROW_BLOCK = 8
 STOP_SLACK = 1e-9
 
 
+def _mode(alpha, w2):
+    """(d, sqrt(|d|)) for d = w2 - alpha**2, taken over alpha**2 where it overflows."""
+    scale = 1.0 if alpha < 1e154 else alpha
+    d = w2 / scale / scale - (alpha / scale) * (alpha / scale)
+    return d, scale * math.sqrt(abs(d))
+
+
 def _transition(alpha, w2, tau):
     """Entries (p00, p01, p10, p11) of Phi(tau) = exp(A*tau) for
     A = [[0, 1], [-w2, -2*alpha]]; tau is a scalar or an array.
 
     Each branch computes c_ = exp(-alpha*tau)*C(tau) and
-    s_ = exp(-alpha*tau)*S(tau), where (C, S) are (cos, sin/b), (cosh, sinh/r)
-    or their common limit (1, tau), so Phi is continuous through
-    alpha**2 = w2.
+    s_ = exp(-alpha*tau)*S(tau), where (C, S) are (cos, sin/r), (cosh, sinh/r)
+    or their common limit (1, tau), with r = sqrt(|w2 - alpha**2|), so Phi is
+    continuous through alpha**2 = w2.
     The overdamped branch factors out the slow mode so that no term
     overflows however strong the damping.
     """
-    d = w2 - alpha * alpha
+    d, r = _mode(alpha, w2)
     if d > 0.0:
-        b = math.sqrt(d)
         decay = np.exp(-alpha * tau)
-        c_ = decay * np.cos(b * tau)
-        s_ = decay * np.sin(b * tau) / b
+        c_ = decay * np.cos(r * tau)
+        s_ = decay * np.sin(r * tau) / r
     elif d < 0.0:
-        r = math.sqrt(-d)
         slow = np.exp(-(w2 / (alpha + r)) * tau)
         c_ = 0.5 * slow * (1.0 + np.exp(-2.0 * r * tau))
         s_ = -slow * np.expm1(-2.0 * r * tau) / (2.0 * r)
@@ -67,6 +72,24 @@ def _transition(alpha, w2, tau):
         c_ = np.exp(-alpha * tau)
         s_ = c_ * tau
     return c_ + alpha * s_, s_, -w2 * s_, c_ - alpha * s_
+
+
+def first_peak(params, v0, horizon):
+    """Largest compression [m] from x = 0 at speed v0 (0 when v0 = 0) up to
+    the horizon [s] or the first zero of v = c_*v0 + s_*u, u = g - alpha*v0,
+    at tan(r*t) = -r*v0/u, tanh(r*t) = -r*v0/u or t = -v0/u: no root solve."""
+    alpha, w2 = 0.5 * params.damping / params.mass, params.stiffness / params.mass
+    x_eq = params.gravity / w2
+    u = w2 * x_eq - alpha * v0
+    d, root = _mode(alpha, w2)
+    if d > 0.0:
+        t = math.atan2(root * v0, -u) / root
+    elif d < 0.0:
+        t = math.atanh(root * v0 / -u) / root if -u > root * v0 else math.inf
+    else:
+        t = -v0 / u if u < 0.0 else math.inf
+    p00, p01, _, _ = _transition(alpha, w2, min(t, horizon) if v0 else 0.0)
+    return float(x_eq + (p00 * -x_eq + p01 * v0))
 
 
 def damper_gram(alpha, w2, damping, h):

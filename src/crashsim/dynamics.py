@@ -186,9 +186,11 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
 def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
                v0s) -> tuple[float, int]:
     """(sample period, samples to max_time) for contacts that start at the
-    speeds v0s; refuses omega_n*h > pi, where a step could hold both a peak
-    and a dip, unless no contact moves."""
+    speeds v0s; refuses an overflowing rate 2*omega_n + c/m, and, unless no
+    contact moves, omega_n*h > pi, where a step could hold a peak and a dip."""
     period = 1.0 / float(sample_rate)
+    if not math.isfinite(rate := 2.0 * params.natural_frequency + params.damping / params.mass):
+        raise NumericalError(f"the contact rate 2*omega_n + c/m overflows to {rate}")
     if any(v0s) and params.natural_frequency * period > math.pi:
         raise NumericalError(
             f"sample period {period:.6g} s exceeds half the natural period "

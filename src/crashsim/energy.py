@@ -26,11 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import first_peak
 from .dynamics import (
+    MAX_TIME_S,
     DropScenario,
     ImpactParams,
     Termination,
-    drop_peaks,
+    _step_grid,
     impact_velocity,
     simulate_contact,
 )
@@ -52,6 +54,7 @@ class EnergyBreakdown:
     termination: Termination
     compression_at_eval: float
     damper_paper_rule: float
+    stroke_margin: float
 
     def as_json_dict(self) -> dict:
         return {
@@ -66,18 +69,21 @@ class EnergyBreakdown:
             "termination": self.termination.value,
             "compression_at_eval_m": self.compression_at_eval,
             "damper_paper_rule_j": self.damper_paper_rule,
+            "stroke_margin_m": self.stroke_margin,
         }
 
 
 def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBreakdown:
     """Simulate one drop, up to dynamics.MAX_TIME_S of contact, and partition
-    its energy budget."""
+    its energy budget; the stroke margin is what its first peak leaves."""
     traj = simulate_contact(params, scenario)
+    v0 = traj.impact_velocity
+    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, [v0])
     m, k, g = params.mass, params.stiffness, params.gravity
     h = scenario.drop_altitude
 
     initial_potential = m * g * h
-    kinetic_at_impact = 0.5 * m * traj.impact_velocity ** 2
+    kinetic_at_impact = 0.5 * m * v0 ** 2
 
     if traj.termination is Termination.COLLISION:
         x_eval = scenario.clearance
@@ -119,6 +125,7 @@ def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBrea
         termination=traj.termination,
         compression_at_eval=x_eval,
         damper_paper_rule=paper_rule,
+        stroke_margin=scenario.clearance - first_peak(params, v0, period * max_records),
     )
 
 
@@ -140,25 +147,26 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
 
     Returns math.inf when no collision occurs up to altitude_cap. Resolution
     is `tolerance` (1 mm by default); the bisection also stops when the
-    interval no longer shrinks, once its midpoint rounds to an end. Assumes
-    the collision outcome is monotone in altitude, which holds for this
-    linear contact model. Each step asks drop_peaks for the outcome, along
-    with the raw peak that needs no filter, so a contact that settles inside
-    the stroke stops early.
+    interval no longer shrinks, once its midpoint rounds to an end. A drop
+    collides exactly when its first peak within the contact horizon,
+    _kernels.first_peak, reaches the stroke: the energy about x_eq never
+    grows, so later peaks are lower. The outcome is monotone in altitude:
+    x(t) increases with v0 while p01(t) > 0, at least to the first zero of v.
     """
     if not (math.isfinite(altitude_cap) and altitude_cap > 0.0):
         raise ConfigurationError(f"altitude_cap must be > 0, got {altitude_cap}")
     try:
-        impact_velocity(altitude_cap, params.gravity)
+        v_cap = impact_velocity(altitude_cap, params.gravity)
     except DomainError as exc:
         raise ConfigurationError(f"altitude_cap {altitude_cap!r}: {exc}") from exc
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
 
+    period, max_records = _step_grid(params, scenario_template.sample_rate, MAX_TIME_S, [v_cap])
+
     def collides(h: float) -> bool:
-        _, terminations = drop_peaks(params, scenario_template, [params.damping],
-                                     [h], use_raw_peak=True)
-        return terminations[0, 0] is Termination.COLLISION
+        v0 = impact_velocity(h, params.gravity)
+        return first_peak(params, v0, period * max_records) >= scenario_template.clearance
 
     if not collides(altitude_cap):
         return math.inf

@@ -226,6 +226,31 @@ class TestFit:
                        "--sample-rate-hz", "1500") == 3
 
 
+class TestExtremeDamping:
+    # alpha*alpha overflows past alpha ~1.3e154: the factored discriminant
+    # keeps such a frame finite, and a rate c/m past the float range is refused
+    @pytest.mark.parametrize("command", [("simulate", "--altitude-cm", "100"),
+                                         ("energy", "--altitudes-cm", "100")])
+    def test_huge_damping_finite_or_exit_3(self, tmp_path, command):
+        proc = run_child("--out-dir", tmp_path, *command, "--damping", "1e300")
+        assert "Warning" not in proc.stderr
+        assert proc.returncode in (0, 3), proc.stderr
+        if proc.returncode == 0:
+            for path in tmp_path.glob("*.json"):
+                report = json.loads(path.read_text())
+                rows = report.get("altitudes", [report])
+                assert all(math.isfinite(value) for row in rows for value in row.values()
+                           if isinstance(value, float))
+
+    @pytest.mark.parametrize("command", [("simulate", "--altitude-cm", "100"),
+                                         ("energy", "--altitudes-cm", "0,100")])
+    def test_overflowing_damping_rate_exit_3(self, tmp_path, command):
+        proc = run_child("--out-dir", tmp_path, *command, "--damping", "1e300",
+                         "--mass", "1e-10", "--stiffness", "1e-3")
+        assert proc.returncode == 3, proc.stderr
+        assert "overflow" in proc.stderr and "Warning" not in proc.stderr
+
+
 class TestEnergy:
     def test_reference_curve(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy",
@@ -276,6 +301,13 @@ class TestEnergy:
                        "--threshold-cap-m", "1e308") == 2
         assert "altitude_cap" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rows_report_stroke_margin(self, tmp_path):
+        assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "150,2000") == 0
+        rows = json.loads((tmp_path / "energy.json").read_text())["altitudes"]
+        assert [round(row["stroke_margin_m"] * 1000.0, 2) for row in rows] == [-0.57, -44.13]
+        header = (tmp_path / "energy.csv").read_text().splitlines()[0]
+        assert "margin" not in header
 
     def test_bad_altitude_list_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "50,oops") == 2

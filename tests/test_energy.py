@@ -11,15 +11,19 @@ from crashsim import (
     DomainError,
     DropScenario,
     ImpactParams,
+    NumericalError,
     Termination,
     altitude_energy_ratio,
     collision_threshold_altitude,
     drop_peaks,
     energy_distribution_curve,
     energy_partition,
+    impact_velocity,
     simulate_contact,
     simulate_impact,
 )
+from crashsim._kernels import first_peak
+from crashsim.dynamics import MAX_TIME_S
 
 
 def brute_force_threshold(params, scenario_template, h_max=5.0, step=0.01):
@@ -218,6 +222,20 @@ class TestCollisionThreshold:
             collision_threshold_altitude(reference_params, make_scenario(0.0),
                                          altitude_cap=cap)
 
+    def test_unresolved_step_raises(self, make_scenario):
+        # omega_n/fs ~ 3.2 > pi, as drop_peaks and simulate_contact refuse it
+        stiff = ImpactParams(mass=0.241, damping=46.0, stiffness=1e7)
+        with pytest.raises(NumericalError):
+            collision_threshold_altitude(stiff, make_scenario(0.0, sample_rate=2000.0))
+
+    # without gravity every drop is a zero-length contact: nothing moves, so
+    # even a step that could not resolve a contact is not refused
+    @pytest.mark.parametrize("stiffness,sample_rate", [(7040.0, 20000.0), (1e7, 2000.0)])
+    def test_no_gravity_never_collides(self, make_scenario, stiffness, sample_rate):
+        params = ImpactParams(mass=0.241, damping=46.0, stiffness=stiffness, gravity=0.0)
+        scenario = make_scenario(0.0, sample_rate=sample_rate)
+        assert collision_threshold_altitude(params, scenario) == math.inf
+
     # the bisection assumes that once a drop collides every higher drop does
     @settings(max_examples=40, deadline=None)
     @given(mass=st.floats(0.05, 2.0),
@@ -233,6 +251,47 @@ class TestCollisionThreshold:
                                      [params.damping], altitudes, use_raw_peak=True)
         collided = [t is Termination.COLLISION for t in terminations[0]]
         assert collided == sorted(collided)
+
+
+class TestFirstPeak:
+    # a drop collides exactly when its first peak within the horizon of its
+    # sample grid reaches the stroke; the closed form is monotone in v0, and
+    # its float evaluation may wobble by an ulp between neighbouring speeds
+    @settings(max_examples=60, deadline=None)
+    @given(mass=st.floats(0.03, 3.0), stiffness=st.floats(1000.0, 30000.0),
+           zeta=st.sampled_from([0.0, 1.0]) | st.floats(1.0, 30.0),
+           clearance=st.floats(0.003, 0.05),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+           altitudes=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+    def test_agrees_with_simulated_outcome(self, mass, stiffness, zeta, clearance,
+                                           sample_rate, altitudes):
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        horizon = (1.0 / sample_rate) * math.ceil(MAX_TIME_S * sample_rate)
+        altitudes = sorted(altitudes)
+        peaks = [first_peak(params, impact_velocity(h), horizon) for h in altitudes]
+        _, terminations = drop_peaks(
+            params, DropScenario(0.0, clearance=clearance, sample_rate=sample_rate),
+            [params.damping], altitudes, use_raw_peak=True)
+        for peak, termination in zip(peaks, terminations[0]):
+            if abs(peak - clearance) > 1e-9 * clearance:
+                assert (peak >= clearance) == (termination is Termination.COLLISION)
+        for lower, higher in zip(peaks, peaks[1:]):
+            assert higher >= lower * (1.0 - 4.0 * np.finfo(float).eps)
+
+    def test_stroke_margin_of_the_curve(self, reference_params, make_scenario):
+        # criterion 2's gap: the 1.5 m drop overshoots the 16 mm stroke by 0.57 mm
+        curve = energy_distribution_curve(reference_params, make_scenario(0.0),
+                                          [0.0, 0.5, 1.0, 1.5, 20.0])
+        margins = [breakdown.stroke_margin for _, breakdown in curve]
+        assert margins[0] == 0.016
+        assert [round(m * 1000.0, 2) for m in margins[1:]] == [6.37, 2.44, -0.57, -44.13]
+        for h, breakdown in curve:
+            assert (breakdown.stroke_margin <= 0.0) == (
+                breakdown.termination is Termination.COLLISION)
+            if breakdown.termination is Termination.REBOUND and h > 0.0:
+                # the sampled peak lies at most a sample away from the closed form
+                assert 0.0 <= 0.016 - breakdown.stroke_margin - breakdown.compression_at_eval < 1e-6
+            assert breakdown.as_json_dict()["stroke_margin_m"] == breakdown.stroke_margin
 
 
 class TestAltitudeEnergyRatio:

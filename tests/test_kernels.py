@@ -83,6 +83,28 @@ class TestCriticalDampingContinuity:
             assert max_rel(near.damper_energy, critical.damper_energy) < 1e-7
 
 
+class TestTransitionPastSquareRange:
+    # alpha*alpha overflows from alpha ~1.34e154; from 1e154 on the
+    # discriminant is scaled, and Phi must join the plain branch's there
+    def test_factored_branch_joins_plain_one(self):
+        w2 = STIFFNESS / MASS
+        tau = np.array([0.0, 1e-160, 1e-155, 5e-5])
+        alpha = 1e154
+        plain = _kernels._transition(np.nextafter(alpha, 0.0), w2, tau)
+        factored = _kernels._transition(alpha, w2, tau)
+        for p, q in zip(plain, factored):
+            assert np.allclose(q, p, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300, 1e307])
+    def test_strong_damping_freezes_the_contact(self, alpha):
+        # the slow mode's rate w2/(2*alpha) vanishes: x stays put, v drops to 0
+        p00, p01, p10, p11 = _kernels._transition(alpha, STIFFNESS / MASS,
+                                                  np.array([0.0, 5e-5, 1.0]))
+        assert np.all(p00 == 1.0) and p11[0] == 1.0 and np.all(p11[1:] == 0.0)
+        assert np.all(np.isfinite(p01)) and np.all(np.isfinite(p10))
+        assert p01[-1] == pytest.approx(0.5 / alpha, rel=1e-12)
+
+
 class TestDamperEnergyClosure:
     @settings(max_examples=40, deadline=None)
     @given(zeta=st.sampled_from([0.0, 1.0, 2.0, 5.0]),

@@ -3,8 +3,11 @@
 analytic_solution covers zeta < 1 only. Here scipy's DOP853 integrates the
 contact ODE m*x'' + c*x' + k*x = m*g with terminal events at the stroke and
 at x = 0 after compression, for zeta = 1 exactly, 1 + 1e-8, 3 and 30, at
-altitudes on both sides of each frame's collision threshold. Nothing here
-uses the package's propagator: the oracle sees only the model constants.
+altitudes on both sides of each frame's collision threshold. The same
+integration without the stroke, up to the first v = 0, checks the closed-form
+first peak for zeta = 0, 0.3, the reference 0.56, 1 - 1e-8, 1, 1 + 1e-8, 3
+and 30. Nothing in the oracle uses the package's propagator: it sees only the
+model constants.
 """
 
 import math
@@ -20,6 +23,7 @@ from crashsim import (
     peak_acceleration,
     simulate_contact,
 )
+from crashsim._kernels import first_peak
 from crashsim.dynamics import MAX_TIME_S
 from test_kernels import lowpass_loop
 
@@ -113,3 +117,56 @@ def test_overdamped_and_critical_contacts_match_oracle(frame, altitudes):
             assert abs(peaks[0, 0] - expected) <= TOL * expected
     # the two altitudes straddle the collision threshold
     assert Termination.COLLISION in outcomes and len(outcomes) == 2
+
+
+def oracle_first_peak(params: ImpactParams, v0: float) -> float:
+    """Compression at the first v = 0 of the unclipped contact, or at
+    MAX_TIME_S when v stays positive up to it, integrated by DOP853."""
+    m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
+
+    def turn(t, y):
+        return y[1]
+
+    turn.terminal, turn.direction = True, -1.0
+    sol = integrate.solve_ivp(lambda t, y: (y[1], g - (c * y[1] + k * y[0]) / m),
+                              (0.0, MAX_TIME_S), (0.0, v0), method="DOP853",
+                              rtol=RTOL, atol=ATOL, events=turn)
+    assert sol.success and sol.t.size < MAX_STEPS
+    return float(sol.y_events[0][0][0]) if sol.t_events[0].size else float(sol.y[0, -1])
+
+
+# (mass, damping, stiffness) and altitudes [m]; from zeta 1 - 1e-8 up, each
+# frame includes a drop too slow to turn before the horizon, v staying
+# positive while x creeps up towards m*g/k (below 1.2e-4 m near zeta 1,
+# 6 mm at zeta 3 and 0.6 m at zeta 30); the soft 2 N/m frame first turns at
+# 1.9 s, after the horizon
+FIRST_PEAK_CASES = [
+    ((1.0, 0.0, 2.0), (0.5,)),
+    ((0.241, 0.0, 7040.0), (0.5, 20.0)),
+    ((0.241, 0.3 * C_REFERENCE, 7040.0), (0.5, 20.0)),
+    ((1.0, 400.0 * (1.0 - 1e-8), 40000.0), (1e-5, 3.0, 4.8)),
+    ((1.0, 400.0, 40000.0), (1e-5, 3.0, 4.8)),
+    ((1.0, 400.0 * (1.0 + 1e-8), 40000.0), (1e-5, 3.0, 4.8)),
+    ((0.241, 3.0 * C_REFERENCE, 7040.0), (0.001, 12.5, 20.0)),
+    ((0.241, 30.0 * C_REFERENCE, 7040.0), (0.3, 1100.0, 1750.0)),
+]
+
+
+@pytest.mark.parametrize("frame,altitudes", FIRST_PEAK_CASES)
+def test_first_peak_matches_oracle(frame, altitudes):
+    params = ImpactParams(*frame)
+    for altitude in altitudes:
+        v0 = math.sqrt(2.0 * params.gravity * altitude)
+        expected = oracle_first_peak(params, v0)
+        assert abs(first_peak(params, v0, MAX_TIME_S) - expected) <= TOL * expected
+
+
+# criterion 2's unclipped peaks of the reference frame (46 N*s/m, zeta 0.56)
+@pytest.mark.parametrize("altitude,peak_mm", [(0.5, 9.63), (1.0, 13.56), (1.5, 16.57),
+                                              (20.0, 60.13)])
+def test_reference_first_peaks(altitude, peak_mm):
+    params = ImpactParams(0.241, 46.0, 7040.0)
+    v0 = math.sqrt(2.0 * params.gravity * altitude)
+    peak = first_peak(params, v0, MAX_TIME_S)
+    assert abs(peak - oracle_first_peak(params, v0)) <= TOL * peak
+    assert round(peak * 1000.0, 2) == peak_mm
