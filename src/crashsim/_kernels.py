@@ -20,6 +20,7 @@ balance, so a caller sums it over the sampled states.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -92,6 +93,7 @@ def first_peak(params, v0, horizon):
     return float(x_eq + (p00 * -x_eq + p01 * v0))
 
 
+@functools.lru_cache(maxsize=64)
 def damper_gram(alpha, w2, damping, h):
     """Symmetric Q(h) = integral over [0, h] of Phi(s)' diag(0, c) Phi(s) ds
     as (q00, q01, q11), so a step of h from y dissipates y'Qy in the damper.
@@ -167,7 +169,7 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
 
 
 def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
-                       period, max_records, cutoff=None, keep=False):
+                       period, max_records, cutoff=None, keep=False, stop_when_final=False):
     """Exact propagation of m*x'' + c*x' + k*x = m*g for every contact
     (dampings[b], v0s[a]).
 
@@ -191,13 +193,15 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     |lowpass| output of |a - g| with k = tan(pi*cutoff*period).
 
     ROW_BLOCK contacts advance together, one chunk per numpy pass; a
-    finished contact hands its row to the next. Unless `keep` is set, a
-    contact also stops at the first chunk boundary where neither its outcome
-    nor its peak can change any more. With y = x - x_eq and w2 = k/m:
+    finished contact hands its row to the next. Unless `keep` is set without
+    `stop_when_final`, a contact also stops at the first chunk boundary where
+    neither its outcome nor its peak (with `keep`, its largest x) can change.
+    With y = x - x_eq and w2 = k/m:
 
     - E = v**2/2 + w2*y**2/2 never grows (dE/dt = -(c/m)*v**2), so from any
       state on |y| <= sqrt(2E/w2). With x_eq -+ that bound strictly inside
-      (0, clearance) no event can follow: the contact reaches max_time.
+      (0, clearance) no event can follow: the contact reaches max_time. Below
+      the largest x so far, x_eq + that bound ends a kept contact as max_time.
     - a = -(c/m)*v - w2*y, so every later |a| is at most
       sqrt(2E)*(sqrt(w2) + c/m), and every later |a - g| at most g more.
     - For k <= 1 the filter's coefficients b0, b0 and r are nonnegative and
@@ -225,7 +229,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     steps = period * np.arange(chunk + 1)
     filtered = cutoff is not None
     k_mid = prewarped_gain(cutoff, period) if filtered else None
-    stops = not keep and (not filtered or k_mid <= 1.0)
+    stops = stop_when_final if keep else not filtered or k_mid <= 1.0
     shift = gravity if filtered else 0.0  # the sensor reads |a - g|, raw |a|
     slack = 1.0 + STOP_SLACK
 
@@ -359,9 +363,13 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             done[s] += chunk
             if not stops:
                 continue
-            top[s] = max(top[s], samples[s].max())
+            top[s] = max(top[s], (x if keep else samples)[s].max())
             radius = slack * math.sqrt(energy2[s] / w2)
             if not (x_eq - radius > 0.0 and x_eq + radius < clearance):
+                continue
+            if keep:  # every later compression stays below the largest so far
+                if x_eq + radius < top[s]:
+                    finish(s, TERM_MAX_TIME, None, period * done[s])
                 continue
             bound = slack * (shift + math.sqrt(energy2[s]) * (w + damping[s] / mass))
             if (value := peak(s, k_mid, bound)) is not None:

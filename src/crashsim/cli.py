@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .dynamics import (
     peak_acceleration,
     simulate_contact,
 )
-from .energy import collision_threshold_altitude, energy_distribution_curve
+from .energy import collision_threshold_altitude, energy_distribution_curve, stroke_margin
 from .errors import ConfigurationError, CrashSimError, NumericalError
 from .identify import FitSetup, PeakObservation, estimate_stiffness, fit_damping
 from .sensor import FilterSpec, filtered_series
@@ -206,6 +207,9 @@ def cmd_fit(args) -> int:
     result = fit_damping(setup, observations, bracket=(args.c_low, args.c_high),
                          tolerance=args.tolerance)
 
+    fitted = replace(setup.params, damping=result.damping)
+    drops = [replace(setup.scenario, drop_altitude=h)
+             for h in sorted({o.drop_altitude for o in observations})]
     out = _out_dir(args)
     io.write_json(out / "fit.json", {
         "damping": result.damping,
@@ -217,6 +221,8 @@ def cmd_fit(args) -> int:
         "stiffness_source": stiffness_source,
         "peak_convention": "raw" if args.raw_peaks else "filtered",
         "n_observations": len(observations),
+        "stroke_margins": [{"altitude_m": s.drop_altitude,
+                            "stroke_margin_m": stroke_margin(fitted, s)} for s in drops],
     })
     print(f"fit: damping={result.damping:.4f} N·s/m "
           f"(loss={result.loss:.6g}, {result.evaluations} evaluations, "

@@ -30,10 +30,12 @@ refused: a step could then hold both a peak and a dip.
 One chunk loop, _kernels.propagate_contacts, propagates every contact.
 simulate_impact keeps the samples of one contact; drop_peaks keeps only the
 peak acceleration and the termination of many, and stops each contact as
-soon as neither can change any more, so both read the same samples. The
-accumulated damper energy (integral of c*x'^2) is not propagated:
+soon as neither can change any more, so both read the same samples (as
+simulate_impact does, with stop_when_final, for its largest compression).
+The accumulated damper energy (integral of c*x'^2) is not propagated:
 simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
-the recorded states, independently of the energy balance.
+the recorded states, independently of the energy balance; damper_gram is
+memoised, so the drops of one frame compute Q(period) once.
 
 Sign conventions for acceleration follow x: positive a points downward. An
 ideal accelerometer measures specific force |a - g|: zero in free fall, 1 g
@@ -202,7 +204,7 @@ def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
 
 
 def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
-                    max_time: float = MAX_TIME_S) -> Trajectory:
+                    max_time: float = MAX_TIME_S, stop_when_final: bool = False) -> Trajectory:
     """Propagate a contact that starts at compression 0 with velocity v0,
     with the stroke and sample rate of `scenario` (its drop_altitude is not
     used).
@@ -210,8 +212,10 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     Lower-level entry point used by simulate_contact; taking v0 directly
     decouples the initial speed from the gravity that forces the contact.
     A zero v0 is a zero-length contact: the trajectory holds the single
-    initial sample and terminates as a rebound. Raises NumericalError when
-    omega_n*h > pi, where a step could hold both a peak and a dip.
+    initial sample and terminates as a rebound; with stop_when_final, as
+    MAX_TIME once neither its termination nor its largest compression can
+    change. Raises NumericalError when omega_n*h > pi, where a step could
+    hold both a peak and a dip.
     """
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:
@@ -222,7 +226,7 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     period, max_records = _step_grid(params, scenario.sample_rate, max_time, [v0])
     _, codes, kept = _kernels.propagate_contacts(
         params.mass, [params.damping], params.stiffness, params.gravity, [v0],
-        scenario.clearance, period, max_records, keep=True,
+        scenario.clearance, period, max_records, keep=True, stop_when_final=stop_when_final,
     )
     t, x, v, a = kept[0, 0]
     termination = _TERMINATIONS[codes][0, 0]
@@ -251,10 +255,10 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
 
 
 def simulate_contact(params: ImpactParams, scenario: DropScenario,
-                     max_time: float = MAX_TIME_S) -> Trajectory:
+                     max_time: float = MAX_TIME_S, stop_when_final: bool = False) -> Trajectory:
     """Simulate the ground contact of a drop described by `scenario`."""
     v0 = impact_velocity(scenario.drop_altitude, params.gravity)
-    return simulate_impact(params, v0, scenario, max_time)
+    return simulate_impact(params, v0, scenario, max_time, stop_when_final)
 
 
 def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes,

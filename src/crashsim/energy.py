@@ -74,11 +74,10 @@ class EnergyBreakdown:
 
 
 def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBreakdown:
-    """Simulate one drop, up to dynamics.MAX_TIME_S of contact, and partition
-    its energy budget; the stroke margin is what its first peak leaves."""
-    traj = simulate_contact(params, scenario)
+    """Simulate one drop until its breakdown is final (at most MAX_TIME_S) and
+    partition its energy budget; the stroke margin is what its first peak leaves."""
+    traj = simulate_contact(params, scenario, stop_when_final=True)
     v0 = traj.impact_velocity
-    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, [v0])
     m, k, g = params.mass, params.stiffness, params.gravity
     h = scenario.drop_altitude
 
@@ -125,8 +124,16 @@ def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBrea
         termination=traj.termination,
         compression_at_eval=x_eval,
         damper_paper_rule=paper_rule,
-        stroke_margin=scenario.clearance - first_peak(params, v0, period * max_records),
+        stroke_margin=stroke_margin(params, scenario),
     )
+
+
+def stroke_margin(params: ImpactParams, scenario: DropScenario) -> float:
+    """Stroke [m] left by the first compression peak of the drop of `scenario`
+    within the contact horizon; negative when the unclipped peak passes it."""
+    v0 = impact_velocity(scenario.drop_altitude, params.gravity)
+    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, [v0])
+    return scenario.clearance - first_peak(params, v0, period * max_records)
 
 
 def energy_distribution_curve(params: ImpactParams, scenario_template: DropScenario,

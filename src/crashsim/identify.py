@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DropScenario, ImpactParams, drop_peaks
-from .errors import ConfigurationError, DegenerateDataError, DomainError
+from .errors import ConfigurationError, DegenerateDataError, DomainError, NumericalError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,7 +125,11 @@ def _losses(setup: FitSetup, observations: list[PeakObservation]):
     def losses(dampings) -> list[float]:
         peaks, _ = drop_peaks(setup.params, setup.scenario, dampings, altitudes,
                               setup.use_raw_peak)
-        return [float(np.mean(np.square(row[columns] - measured))) for row in peaks]
+        with np.errstate(over="ignore"):  # a loss past the float range ranks last as inf
+            values = [float(np.mean(np.square(row[columns] - measured))) for row in peaks]
+        if nan := [c for c, value in zip(dampings, values) if math.isnan(value)]:
+            raise NumericalError(f"the peak-matching loss is NaN at damping {nan[0]!r} N·s/m")
+        return values
 
     return losses
 
@@ -167,10 +171,11 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
         record.extend(zip(dampings, values))
         return values
 
-    # coarse scan: log-spaced grid above c_low (log spacing needs a positive
-    # start), evaluated in one batch with both endpoints, so the result
-    # provably beats both
-    eps = min(max(1e-3, 1e-6 * (c_high - c_low)), 0.5 * (c_high - c_low))
+    # coarse scan: log-spaced grid from at most 1e-3*c_crit above c_low (log
+    # spacing needs a positive start), evaluated in one batch with both
+    # endpoints, so the result provably beats both
+    offset = min(1e-6 * (c_high - c_low), 1e-3 * setup.params.critical_damping)
+    eps = min(max(1e-3, offset), 0.5 * (c_high - c_low))
     grid = np.geomspace(c_low + eps, c_high, 64)
     i = int(np.argmin(evaluate(*grid.tolist(), c_low, c_high)[:len(grid)]))
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from crashsim import STANDARD_GRAVITY, DropScenario, cli, io
+from crashsim import STANDARD_GRAVITY, DropScenario, cli, identify, io
 from crashsim.cli import main
 
 
@@ -224,6 +224,45 @@ class TestFit:
         assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
                        "--mass", "1e-8", "--stiffness", "1e150",
                        "--sample-rate-hz", "1500") == 3
+
+    @pytest.mark.parametrize("c_high", ["1e8", "1e300"])
+    def test_wide_bracket_finds_damping(self, tmp_path, c_high):
+        # the grid starts at most 1e-3*c_crit above c_low however wide the
+        # bracket, and a loss past the float range ranks last as inf
+        assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "50,100,150",
+                       "--repeats", "5", "--damping", "46") == 0
+        proc = run_child("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                         "--stiffness", "7040", "--c-high", c_high)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        result = json.loads((tmp_path / "fit.json").read_text())
+        assert result["damping"] == pytest.approx(46.0, abs=0.01)
+        assert result["at_boundary"] is False
+
+    def test_nan_loss_exit_3(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "peaks.csv").write_text("altitude_cm,peak_ms2,label\n100,500,a\n")
+
+        def nan_peaks(params, scenario, dampings, altitudes, use_raw_peak=False):
+            return np.full((len(dampings), len(altitudes)), math.nan), None
+
+        monkeypatch.setattr(identify, "drop_peaks", nan_peaks)
+        assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                       "--stiffness", "7040") == 3
+        assert "loss is NaN" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_stroke_margins_per_altitude(self, tmp_path):
+        # criterion 2's gap at the fitted damping: the 1.5 m drop overshoots
+        # the 16 mm stroke by 0.57 mm
+        assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "150,50,100,50",
+                       "--repeats", "2", "--damping", "46") == 0
+        assert run_cli("--out-dir", tmp_path, "fit", "--peaks", tmp_path / "peaks.csv",
+                       "--stiffness", "7040") == 0
+        margins = json.loads((tmp_path / "fit.json").read_text())["stroke_margins"]
+        assert [set(row) for row in margins] == [{"altitude_m", "stroke_margin_m"}] * 3
+        assert [row["altitude_m"] for row in margins] == [0.5, 1.0, 1.5]
+        assert [round(row["stroke_margin_m"] * 1000.0, 2) for row in margins] == [
+            6.37, 2.44, -0.57]
 
 
 class TestExtremeDamping:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from crashsim import (
     simulate_contact,
     simulate_impact,
 )
+from crashsim import energy
 from crashsim._kernels import first_peak
 from crashsim.dynamics import MAX_TIME_S
 
@@ -292,6 +294,65 @@ class TestFirstPeak:
                 # the sampled peak lies at most a sample away from the closed form
                 assert 0.0 <= 0.016 - breakdown.stroke_margin - breakdown.compression_at_eval < 1e-6
             assert breakdown.as_json_dict()["stroke_margin_m"] == breakdown.stroke_margin
+
+
+class TestFinalBreakdownStop:
+    """energy_partition ends a contact once its termination and largest
+    compression are final; every other caller keeps the full horizon."""
+
+    @staticmethod
+    def full_horizon_partition(params, scenario):
+        """energy_partition built from the full simulate_contact trajectory."""
+        def full(params, scenario, **_):
+            return simulate_contact(params, scenario)
+
+        with mock.patch.object(energy, "simulate_contact", full):
+            return energy_partition(params, scenario)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mass=st.floats(0.03, 3.0), stiffness=st.floats(1000.0, 30000.0),
+           zeta=st.sampled_from([0.0, 1e-3, 0.3, 0.7, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 2.0, 10.0]),
+           clearance=st.sampled_from([0.003, 0.016, 0.05]),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+           log_altitude=st.floats(math.log(0.003), math.log(30.0)))
+    def test_breakdown_equals_full_trajectory(self, mass, stiffness, zeta, clearance,
+                                              sample_rate, log_altitude):
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        scenario = DropScenario(math.exp(log_altitude), clearance=clearance,
+                                sample_rate=sample_rate)
+        got = energy_partition(params, scenario).as_json_dict()
+        want = self.full_horizon_partition(params, scenario).as_json_dict()
+        # bit for bit: repr tells -0.0 from 0.0 and shows every digit
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+    def test_settled_drop_ends_before_horizon(self, make_scenario):
+        # zeta 3, 1 cm: the contact overshoots x_eq once and then settles
+        params = ImpactParams(0.241, 3.0 * 2.0 * math.sqrt(0.241 * 7040.0), 7040.0)
+        scenario = make_scenario(0.01)
+        short = simulate_contact(params, scenario, stop_when_final=True)
+        full = simulate_contact(params, scenario)
+        assert short.termination is full.termination is Termination.MAX_TIME
+        assert short.time[-1] < MAX_TIME_S and len(short) < len(full) // 10
+        # the stopped record is a prefix of the full one, its peak included
+        n = len(short)
+        for name in ("time", "compression", "velocity", "acceleration", "damper_energy"):
+            assert np.array_equal(getattr(short, name), getattr(full, name)[:n])
+        assert short.max_compression == full.max_compression
+        assert energy_partition(params, scenario).termination is Termination.MAX_TIME
+
+    def test_simulate_contact_keeps_full_horizon(self, make_scenario):
+        params = ImpactParams(0.241, 3.0 * 2.0 * math.sqrt(0.241 * 7040.0), 7040.0)
+        traj = simulate_contact(params, make_scenario(0.01))
+        assert traj.termination is Termination.MAX_TIME
+        assert traj.time[-1] == MAX_TIME_S and len(traj) == 20001
+
+    def test_undamped_contact_never_settles(self, make_scenario):
+        # zeta = 0 keeps its energy, so only an event or the horizon ends the
+        # contact; this soft frame first returns to x = 0 after 4 s
+        params = ImpactParams(1.0, 0.0, 2.0)
+        traj = simulate_contact(params, make_scenario(0.01, clearance=50.0),
+                                stop_when_final=True)
+        assert traj.termination is Termination.MAX_TIME and len(traj) == 20001
 
 
 class TestAltitudeEnergyRatio:

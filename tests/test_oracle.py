@@ -6,8 +6,10 @@ at x = 0 after compression, for zeta = 1 exactly, 1 + 1e-8, 3 and 30, at
 altitudes on both sides of each frame's collision threshold. The same
 integration without the stroke, up to the first v = 0, checks the closed-form
 first peak for zeta = 0, 0.3, the reference 0.56, 1 - 1e-8, 1, 1 + 1e-8, 3
-and 30. Nothing in the oracle uses the package's propagator: it sees only the
-model constants.
+and 30, and, with the damper energy integral of c*v**2 as a third state, the
+damper energy of every sample for zeta = 0, 0.3, 1 - 1e-8, 1, 1 + 1e-8, 3 and
+30. Nothing in the oracle uses the package's propagator: it sees only the
+model constants, and this file does not import crashsim._kernels.
 """
 
 import math
@@ -22,9 +24,10 @@ from crashsim import (
     drop_peaks,
     peak_acceleration,
     simulate_contact,
+    simulate_impact,
 )
-from crashsim._kernels import first_peak
 from crashsim.dynamics import MAX_TIME_S
+from crashsim.energy import first_peak
 from test_kernels import lowpass_loop
 
 integrate = pytest.importorskip("scipy.integrate")
@@ -55,8 +58,10 @@ CASES = [
 ]
 
 
-def oracle(params: ImpactParams, scenario: DropScenario):
-    """Termination, sample times and (x, a) at them, integrated by DOP853."""
+def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy=False):
+    """Termination and DOP853 solution of the contact, with terminal events
+    at the stroke and at x = 0 after compression; with damper_energy, the
+    integral of c*v**2 dt rides along as a third state."""
     m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
     clearance = scenario.clearance
 
@@ -66,20 +71,28 @@ def oracle(params: ImpactParams, scenario: DropScenario):
     def lift_off(t, y):
         return y[0]
 
+    def rhs(t, y):
+        a = g - (c * y[1] + k * y[0]) / m
+        return (y[1], a, c * y[1] * y[1]) if damper_energy else (y[1], a)
+
     stroke.terminal, stroke.direction = True, 1.0
     lift_off.terminal, lift_off.direction = True, -1.0
     v0 = math.sqrt(2.0 * g * scenario.drop_altitude)
-    sol = integrate.solve_ivp(lambda t, y: (y[1], g - (c * y[1] + k * y[0]) / m),
-                              (0.0, MAX_TIME_S), (0.0, v0), method="DOP853",
-                              rtol=RTOL, atol=ATOL, events=(stroke, lift_off),
-                              dense_output=True)
+    y0 = (0.0, v0, 0.0) if damper_energy else (0.0, v0)
+    sol = integrate.solve_ivp(rhs, (0.0, MAX_TIME_S), y0, method="DOP853", rtol=RTOL,
+                              atol=ATOL, events=(stroke, lift_off), dense_output=True)
     assert sol.success and sol.t.size < MAX_STEPS
     if sol.t_events[0].size:
-        termination = Termination.COLLISION
-    elif sol.t_events[1].size:
-        termination = Termination.REBOUND
-    else:
-        termination = Termination.MAX_TIME
+        return Termination.COLLISION, sol
+    if sol.t_events[1].size:
+        return Termination.REBOUND, sol
+    return Termination.MAX_TIME, sol
+
+
+def oracle(params: ImpactParams, scenario: DropScenario):
+    """Termination, sample times and (x, a) at them, integrated by DOP853."""
+    m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
+    termination, sol = contact_solution(params, scenario)
     t_end = float(sol.t[-1])
     period = 1.0 / scenario.sample_rate
     t = np.append(period * np.arange(math.ceil(t_end / period)), t_end)
@@ -170,3 +183,47 @@ def test_reference_first_peaks(altitude, peak_mm):
     peak = first_peak(params, v0, MAX_TIME_S)
     assert abs(peak - oracle_first_peak(params, v0)) <= TOL * peak
     assert round(peak * 1000.0, 2) == peak_mm
+
+
+# (mass, damping, stiffness) and an altitude below and above the frame's
+# collision threshold with the 16 mm stroke: 0.365 m at zeta 0, 0.824 m at
+# zeta 0.3, 3.83 m around zeta 1, 16.0 m at zeta 3 and 1378 m at zeta 30
+DAMPER_ENERGY_CASES = [
+    ((0.241, 0.0, 7040.0), (0.2, 0.5)),
+    ((0.241, 0.3 * C_REFERENCE, 7040.0), (0.5, 1.2)),
+    ((1.0, 400.0 * (1.0 - 1e-8), 40000.0), (3.0, 4.8)),
+    ((1.0, 400.0, 40000.0), (3.0, 4.8)),
+    ((1.0, 400.0 * (1.0 + 1e-8), 40000.0), (3.0, 4.8)),
+    ((0.241, 3.0 * C_REFERENCE, 7040.0), (12.5, 20.0)),
+    ((0.241, 30.0 * C_REFERENCE, 7040.0), (1100.0, 1750.0)),
+]
+
+
+@pytest.mark.parametrize("frame,altitudes", DAMPER_ENERGY_CASES)
+def test_damper_energy_matches_oracle(frame, altitudes):
+    # The oracle's E has two errors. Its own local errors sum to at most
+    # TOL*E_max, as for every state. Its velocity is off by at most
+    # TOL*v_max, which the integrand c*v**2 turns into at most
+    # integral of 2c*|v|*TOL*v_max dt <= 2*sqrt(E_max*c*t_end)*TOL*v_max
+    # (Cauchy-Schwarz). The package's E is exact up to rounding, and both are
+    # read at the package's own sample times.
+    params = ImpactParams(*frame)
+    c = params.damping
+    outcomes = set()
+    for altitude in altitudes:
+        scenario = DropScenario(altitude, sensor_cutoff=CUTOFF, sample_rate=SAMPLE_RATE)
+        termination, sol = contact_solution(params, scenario, damper_energy=True)
+        outcomes.add(termination)
+        t_end = float(sol.t[-1])
+
+        traj = simulate_impact(params, math.sqrt(2.0 * params.gravity * altitude), scenario)
+        assert traj.termination is termination
+        assert len(traj) == math.ceil(t_end * SAMPLE_RATE) + 1
+        _, v, expected = sol.sol(traj.time)
+        e_max = float(np.max(expected))
+        v_max = float(np.max(np.abs(v)))
+        tol = TOL * (e_max + 2.0 * math.sqrt(e_max * c * t_end) * v_max)
+        assert np.max(np.abs(traj.damper_energy - expected)) <= tol
+        if c == 0.0:
+            assert not np.any(traj.damper_energy)
+    assert Termination.COLLISION in outcomes and len(outcomes) == 2
