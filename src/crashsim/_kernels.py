@@ -142,12 +142,12 @@ def dissipated(q, y, v):
 def _event_time(alpha, w2, offset, y0, y1, dt):
     """Root tau in (0, dt] of offset + x-row of Phi(tau) applied to (y0, y1),
     where the step [0, dt] brackets a sign change. Newton steps on the
-    closed form, kept inside the bracket by bisection."""
+    closed form, kept inside the bracket by bisection; equal ends give dt."""
     lo, hi = 0.0, dt
     f_lo = offset + y0
     p00, p01, _, _ = _transition(alpha, w2, dt)
     f_hi = offset + p00 * y0 + p01 * y1
-    tau = dt * f_lo / (f_lo - f_hi)
+    tau = dt * f_lo / (f_lo - f_hi) if f_lo != f_hi else dt
     for _ in range(100):
         p00, p01, p10, p11 = _transition(alpha, w2, tau)
         f = offset + p00 * y0 + p01 * y1

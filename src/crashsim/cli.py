@@ -14,6 +14,7 @@ parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import io
 from .dynamics import (
+    MAX_RECORDS,
     MAX_TIME_S,
     STANDARD_GRAVITY,
     DropScenario,
@@ -253,10 +255,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {args.repeats}")
-    if args.noise < 0.0:
-        raise ConfigurationError(f"noise level must be >= 0, got {args.noise}")
+    if not 1 <= args.repeats <= MAX_RECORDS:
+        raise ConfigurationError(f"repeats must be in [1, {MAX_RECORDS:g}], got {args.repeats}")
+    if args.noise < 0.0 or args.seed < 0:
+        raise ConfigurationError(f"noise level and seed must be >= 0, got {args.noise}, {args.seed}")
     params = _params(args)
     altitudes = _parse_altitudes_cm(args.altitudes_cm)
     no_drop = [h * 100.0 for h in altitudes if not h > 0.0]  # a peak needs a drop
@@ -290,9 +292,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -45,7 +45,7 @@ at rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -58,6 +58,7 @@ STANDARD_GRAVITY = 9.81
 
 # contact horizon [s]: a contact with no event by then ends as MAX_TIME
 MAX_TIME_S = 1.0
+MAX_RECORDS = 1e7  # samples to the horizon, max_time * sample_rate, that a run may take
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -82,8 +83,8 @@ class ImpactParams:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.mass > 0.0:
             raise DomainError(f"mass must be > 0, got {self.mass}")
-        if not self.stiffness > 0.0:
-            raise DomainError(f"stiffness must be > 0, got {self.stiffness}")
+        if not self.stiffness / self.mass > 0.0:
+            raise DomainError(f"stiffness/mass must be > 0, got {self.stiffness}/{self.mass}")
         if self.damping < 0.0:
             raise DomainError(f"damping must be >= 0, got {self.damping}")
         if self.gravity < 0.0:
@@ -187,20 +188,28 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
 
 def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
                v0s) -> tuple[float, int]:
-    """(sample period, samples to max_time) for contacts that start at the
-    speeds v0s; refuses an overflowing rate 2*omega_n + c/m, and, unless no
-    contact moves, omega_n*h > pi, where a step could hold a peak and a dip."""
-    period = 1.0 / float(sample_rate)
-    if not math.isfinite(rate := 2.0 * params.natural_frequency + params.damping / params.mass):
+    """(sample period, samples to max_time) for contacts from the speeds v0s;
+    refuses an overflowing rate or contact scale, over MAX_RECORDS samples and,
+    unless no contact moves, omega_n*h > pi: a step could hold a peak and a dip."""
+    period, w, m = 1.0 / float(sample_rate), params.natural_frequency, params.mass
+    if not math.isfinite(rate := 2.0 * w + params.damping / m):
         raise NumericalError(f"the contact rate 2*omega_n + c/m overflows to {rate}")
-    if any(v0s) and params.natural_frequency * period > math.pi:
+    # r = sqrt(2E) of the fastest contact bounds |v| and omega*|x - x_eq|: what it
+    # scales (squares, forces, energies) and 1/m must stay inside the float range
+    r = math.hypot(max(v0s, default=0.0), params.gravity / w)
+    span = r / min(w, 1.0)
+    if not math.isfinite(4.0 * max(span * span, max(m, 1.0) * r * max(r, rate), 1.0 / m)):
+        raise NumericalError(f"the contact scales overflow: sqrt(2E) = {r:g} m/s, m = {m:g} kg")
+    if any(v0s) and w * period > math.pi:
         raise NumericalError(
             f"sample period {period:.6g} s exceeds half the natural period "
-            f"{math.pi / params.natural_frequency:.6g} s; a rebound or "
+            f"{math.pi / w:.6g} s; a rebound or "
             f"collision could fall between samples",
             time=period,
         )
-    return period, math.ceil(float(max_time) * float(sample_rate))
+    if not (records := float(max_time) * float(sample_rate)) <= MAX_RECORDS:
+        raise DomainError(f"max_time * sample_rate is {records:g} samples, over {MAX_RECORDS:g}")
+    return period, math.ceil(records)
 
 
 def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
@@ -231,11 +240,12 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     t, x, v, a = kept[0, 0]
     termination = _TERMINATIONS[codes][0, 0]
 
-    # a sample step of h from y = (x - x_eq, v) dissipates y'Q(h)y
+    # a sample step of h from y = (x - x_eq, v) dissipates y'Q(h)y; a zero-length
+    # contact takes none, and its period may exceed pi/omega_n
     alpha, w2 = 0.5 * params.damping / params.mass, params.stiffness / params.mass
     y, u = x[:-1] - params.gravity / w2, v[:-1]
-    dissipation = _kernels.dissipated(
-        _kernels.damper_gram(alpha, w2, params.damping, period), y, u)
+    gram = _kernels.damper_gram(alpha, w2, params.damping, period) if y.size else (0.0,) * 3
+    dissipation = _kernels.dissipated(gram, y, u)
     if termination is not Termination.MAX_TIME and dissipation.size:
         # the event ends the last step short of a full period
         gram = _kernels.damper_gram(alpha, w2, params.damping, t[-1] - t[-2])
@@ -272,13 +282,14 @@ def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes
     simulate_contact followed by filtered_peak (or peak_acceleration's raw
     |a| when use_raw_peak) gives for that drop, and its termination; see
     _kernels.propagate_contacts for the rule that ends contacts early. Raises
-    NumericalError as simulate_impact does.
+    NumericalError as simulate_impact does at the strongest damping.
     """
     dampings = np.atleast_1d(np.asarray(dampings, dtype=np.float64))
     if dampings.ndim != 1 or not np.all(np.isfinite(dampings) & (dampings >= 0.0)):
         raise DomainError(f"dampings must be finite and >= 0, got {dampings!r}")
     v0s = [impact_velocity(h, params.gravity) for h in altitudes]
-    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, v0s)
+    strongest = replace(params, damping=float(dampings.max(initial=0.0)))
+    period, max_records = _step_grid(strongest, scenario.sample_rate, MAX_TIME_S, v0s)
     peaks, codes, _ = _kernels.propagate_contacts(
         params.mass, dampings, params.stiffness, params.gravity, v0s,
         scenario.clearance, period, max_records,

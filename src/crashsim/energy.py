@@ -36,7 +36,7 @@ from .dynamics import (
     impact_velocity,
     simulate_contact,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBrea
     paper_rule = max(paper_rule, 0.0)
 
     def fraction(term: float) -> float:
-        return term / initial_potential if initial_potential else 0.0
+        if not math.isfinite(share := term / initial_potential if initial_potential else 0.0):
+            raise NumericalError(f"the energy share {term:g} J / {initial_potential:g} J overflows")
+        return share
 
     return EnergyBreakdown(
         initial_potential=initial_potential,

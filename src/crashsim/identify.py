@@ -159,7 +159,7 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     c_low = 0.0 if c_low is None else float(c_low)
     c_high = 5.0 * setup.params.critical_damping if c_high is None else float(c_high)
     if not (math.isfinite(c_low) and math.isfinite(c_high)
-            and 0.0 <= c_low < c_high):
+            and 0.0 <= c_low < c_high and c_low + 0.5 * (c_high - c_low) > 0.0):
         raise ConfigurationError(f"invalid damping bracket {(c_low, c_high)!r}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
@@ -176,7 +176,8 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     # endpoints, so the result provably beats both
     offset = min(1e-6 * (c_high - c_low), 1e-3 * setup.params.critical_damping)
     eps = min(max(1e-3, offset), 0.5 * (c_high - c_low))
-    grid = np.geomspace(c_low + eps, c_high, 64)
+    with np.errstate(over="ignore"):  # 10**log10(c_high) may round past the float range
+        grid = np.geomspace(c_low + eps, c_high, 64)  # whose ends geomspace then sets exactly
     i = int(np.argmin(evaluate(*grid.tolist(), c_low, c_high)[:len(grid)]))
 
     # golden-section refinement inside the bracketing grid cell

@@ -1,10 +1,16 @@
+import csv
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crashsim import STANDARD_GRAVITY, DropScenario, cli, identify, io
 from crashsim.cli import main
@@ -358,3 +364,193 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "synth" in proc.stdout
+
+
+def output_files(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+class TestSharedParser:
+    """main parses through one parser per process: no call may leave state
+    in it that changes a later call."""
+
+    def test_sequence_matches_fresh_interpreters(self, tmp_path, capsys):
+        statics = tmp_path / "statics.csv"
+        statics.write_text("force_n,deflection_m\n7.04,0.001\n35.2,0.005\n70.4,0.01\n")
+        peaks = tmp_path / "in-process" / "2" / "peaks.csv"
+        sequence = [
+            ("simulate", "--altitude-cm", "100"),
+            ("energy", "--altitudes-cm", "50,100,150"),
+            ("--seed", "3", "synth", "--altitudes-cm", "50,100", "--repeats", "2",
+             "--noise", "0.05", "--write-traces"),
+            ("fit", "--peaks", peaks, "--stiffness", "7040"),
+            ("--unit", "g", "fit", "--peaks", peaks, "--statics", statics, "--raw-peaks"),
+            ("simulate", "--altitude-cm", "2000", "--damping", "20", "--sample-rate-hz", "5000",
+             "--max-time", "0.5"),
+        ]
+        for i, argv in enumerate(sequence):
+            shared, fresh = tmp_path / "in-process" / str(i), tmp_path / "child" / str(i)
+            assert run_cli("--out-dir", shared, *argv) == 0
+            stdout = capsys.readouterr().out
+            proc = run_child("--out-dir", fresh, *argv)
+            assert proc.returncode == 0, proc.stderr
+            assert stdout == proc.stdout
+            assert output_files(shared) == output_files(fresh)
+
+    def test_rejection_between_good_calls(self, tmp_path, capsys):
+        good = ("simulate", "--altitude-cm", "100", "--damping", "30")
+        assert run_cli("--out-dir", tmp_path / "before", *good) == 0
+        with pytest.raises(SystemExit) as rejected:
+            run_cli("--out-dir", tmp_path / "rejected", "simulate", "--damping", "30")
+        assert rejected.value.code == 2
+        message = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["simulate", "--damping", "30"])
+        assert message == capsys.readouterr().err
+        assert "--altitude-cm" in message
+        assert run_cli("--out-dir", tmp_path / "after", *good) == 0
+        assert not (tmp_path / "rejected").exists()
+        assert output_files(tmp_path / "before") == output_files(tmp_path / "after")
+
+    @pytest.mark.parametrize("command", [(), ("simulate",), ("fit",), ("energy",), ("synth",)])
+    def test_help_matches_fresh_parser(self, command, capsys):
+        texts = []
+        for parse in (main, main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as done:
+                parse([*command, "--help"])
+            assert done.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith(f"usage: {' '.join(('crashsim', *command))} ")
+
+
+# extreme finite values: signed zero, the smallest subnormal and normal
+# numbers, both sides of the square range (alpha**2 overflows past ~1.3e154),
+# and the largest float
+EXTREMES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-150, 1e150, 1e300,
+            1.7976931348623157e308]
+EXTREMES += [-value for value in EXTREMES]
+INT_EXTREMES = [-2**63, -1, 0, 1, 2**31, 2**63 - 1]
+SCENARIO = ("--mass", "--gravity", "--clearance-mm", "--cutoff-hz", "--sample-rate-hz")
+NUMERIC_OPTIONS = {
+    "simulate": SCENARIO + ("--damping", "--stiffness", "--altitude-cm", "--max-time"),
+    "energy": SCENARIO + ("--damping", "--stiffness", "--threshold-cap-m"),
+    "synth": SCENARIO + ("--damping", "--stiffness", "--noise"),
+    "fit": SCENARIO + ("--c-low", "--c-high", "--tolerance"),
+}
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fit_inputs")
+    assert main(["--out-dir", str(base), "synth", "--altitudes-cm", "50,100,150",
+                 "--repeats", "2"]) == 0
+    (base / "statics.csv").write_text("force_n,deflection_m\n7.04,0.001\n35.2,0.005\n")
+    return base
+
+
+@st.composite
+def extreme_argvs(draw, fit_inputs):
+    """An argv in which up to four numeric options take an extreme finite
+    value and the others keep their defaults."""
+    command = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    value = st.sampled_from(EXTREMES)
+    argv = []
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--seed", draw(st.sampled_from(INT_EXTREMES))]
+    argv.append(command)
+    for option in draw(st.lists(st.sampled_from(NUMERIC_OPTIONS[command]), max_size=4,
+                                unique=True)):
+        argv += [option, repr(draw(value))]
+    if command == "simulate" and "--altitude-cm" not in argv:
+        argv += ["--altitude-cm", "100"]
+    if command in ("energy", "synth"):
+        altitudes = draw(st.lists(value | st.just(100.0), min_size=1, max_size=3))
+        argv += ["--altitudes-cm", ",".join(map(repr, altitudes))]
+    if command == "synth":
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--repeats", draw(st.sampled_from(INT_EXTREMES))]
+        if draw(st.booleans()):
+            argv.append("--write-traces")
+    if command == "fit":
+        argv += ["--peaks", fit_inputs / "peaks.csv"]
+        argv += (["--stiffness", repr(draw(value))] if draw(st.booleans())
+                 else ["--statics", fit_inputs / "statics.csv"])
+    if command in ("fit", "synth") and draw(st.booleans()):
+        argv.append("--raw-peaks")
+    return [str(arg) for arg in argv]
+
+
+def numbers_in(path):
+    """Every number a JSON or CSV output holds (CSV labels are skipped)."""
+    if path.suffix == ".json":
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [n for child in node for n in walk(child)]
+            return [node] if isinstance(node, float) else []
+        return walk(json.loads(path.read_text()))
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    numbers = []
+    for cell in (cell for row in rows for cell in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    return numbers
+
+
+def run_checked(argv):
+    """main(argv) into a fresh output directory with RuntimeWarnings raised
+    as errors; returns the exit code once an exit-0 run's files are checked
+    to hold only finite numbers."""
+    with tempfile.TemporaryDirectory() as scratch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = Path(scratch) / "out"
+        try:
+            code = main(["--out-dir", str(out), *map(str, argv)])
+        except SystemExit as exc:
+            code = exc.code
+        if code == 0:
+            for path in out.iterdir():
+                assert all(math.isfinite(n) for n in numbers_in(path)), path.name
+        return code
+
+
+class TestExtremeOptions:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_finite_outputs(self, fit_inputs, data):
+        assert run_checked(data.draw(extreme_argvs(fit_inputs))) in (0, 2, 3)
+
+    # what the test above found: tracebacks, RuntimeWarnings, inf in the
+    # output, and runs that never end (kept here with inputs that end anyway)
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--seed", "-1", "synth", "--altitudes-cm", "100"), 2, "seed"),
+        (("synth", "--altitudes-cm", "0", "--repeats", 2**63 - 1), 2, "repeats"),
+        (("simulate", "--altitude-cm", "100", "--max-time", "1e300"), 2, "samples"),
+        (("simulate", "--altitude-cm", "100", "--max-time", "1e300",
+          "--sample-rate-hz", "1e300"), 2, "samples"),
+        (("energy", "--altitudes-cm", "0", "--sample-rate-hz", "1e150"), 2, "samples"),
+        (("simulate", "--altitude-cm", "100", "--mass", "1e300", "--stiffness", "1e-300"),
+         2, "stiffness/mass"),
+        (("simulate", "--altitude-cm", "100", "--gravity", "1e300"), 3, "scales overflow"),
+        (("fit", "--stiffness", "1e-300"), 3, "scales overflow"),
+        (("fit", "--stiffness", "7040", "--c-high", "5e-324"), 2, "bracket"),
+        (("fit", "--stiffness", "7040", "--c-high", "1.7976931348623157e308"), 3, "overflow"),
+        (("energy", "--altitudes-cm", "2.2250738585072014e-308", "--gravity", "1e150",
+          "--clearance-mm", "1e150"), 3, "energy share"),
+        (("energy", "--altitudes-cm", "1e150,1e6", "--gravity", "1e-300",
+          "--stiffness", "2.2250738585072014e-308"), 0, None),
+        (("simulate", "--altitude-cm", "2.2250738585072014e-308", "--mass", "1e6",
+          "--gravity", "1e-300", "--stiffness", "1.7976931348623157e308"), 0, None),
+    ])
+    def test_found_cases(self, fit_inputs, capsys, argv, code, message):
+        if argv[0] == "fit":
+            argv = ("fit", "--peaks", fit_inputs / "peaks.csv", *argv[1:])
+        assert run_checked(argv) == code
+        if message is not None:
+            assert message in capsys.readouterr().err
