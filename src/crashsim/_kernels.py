@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 # termination codes returned by propagate_contacts
 TERM_REBOUND = 0
 TERM_COLLISION = 1
@@ -174,9 +176,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     (dampings[b], v0s[a]).
 
     Returns the peak and the termination code of each contact as two (B, A)
-    arrays, and a third (B, A) array that holds each contact's samples
-    (t, x, v, a) when `keep` is set, else None. With `keep` the peaks are
-    not computed and read NaN: the caller has the samples.
+    arrays, and a third (B, A) object array that holds each contact's
+    samples (t, x, v, a) when `keep` is set, else None in every entry. With
+    `keep` the peaks are not computed and read NaN: the caller has the
+    samples.
 
     A contact starts at x = 0 with velocity v0 and advances one sample
     period per step. A step holds a termination event when it ends past a
@@ -187,7 +190,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     it solves the event time, which the turning time then brackets. Zeros of
     v are pi/omega_d apart, so with omega_n*period <= pi (the caller's check)
     a step holds at most one. The last sample holds the exact state at the
-    event. Without an event a contact ends after max_records periods. A v0
+    event. An event that _event_time cannot locate, because its bracket
+    closes to 4 ulp of the step while the state there is still farther from
+    the wall than STOP_SLACK of |x_eq - wall| + |y|, raises NumericalError.
+    Without an event a contact ends after max_records periods. A v0
     of 0 is a zero-length contact, whose one sample is its initial state.
     The peak is the largest |a| when cutoff is None, else the largest
     |lowpass| output of |a - g| with k = tan(pi*cutoff*period).
@@ -343,9 +349,16 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             parts[s].append((x[s, 1:j + 1], v[s, 1:j + 1]) if keep else samples[s, 1:j + 1])
 
             if j < length:  # the event step starts from state j
-                tau = _event_time(alpha, w2, x_eq - (clearance if collided else 0.0),
-                                  y[s, j], v[s, j], span)
+                wall = clearance if collided else 0.0
+                tau = _event_time(alpha, w2, x_eq - wall, y[s, j], v[s, j], span)
                 f00, f01, f10, f11 = _transition(alpha, w2, tau)
+                # a solve ends this far from the wall only when its bracket closed first
+                miss = (x_eq - wall) + f00 * y[s, j] + f01 * v[s, j]
+                if abs(miss) > STOP_SLACK * (abs(x_eq - wall) + abs(y[s, j])):
+                    raise NumericalError(
+                        f"the event in the step at t = {(done[s] + j) * period:.6g} s is not "
+                        f"resolved: located {abs(miss):.3g} m from its wall at {wall:g} m",
+                        time=(done[s] + j) * period)
                 x_ev = x_eq + f00 * y[s, j] + f01 * v[s, j]
                 v_ev = f10 * y[s, j] + f11 * v[s, j]
                 if keep:

@@ -33,9 +33,20 @@ from .dynamics import (
     peak_acceleration,
     simulate_contact,
 )
-from .energy import collision_threshold_altitude, energy_distribution_curve, stroke_margin
+from .energy import (
+    THRESHOLD_CAP_M,
+    collision_threshold_altitude,
+    energy_distribution_curve,
+    stroke_margin,
+)
 from .errors import ConfigurationError, CrashSimError, NumericalError
-from .identify import FitSetup, PeakObservation, estimate_stiffness, fit_damping
+from .identify import (
+    DAMPING_TOLERANCE,
+    FitSetup,
+    PeakObservation,
+    estimate_stiffness,
+    fit_damping,
+)
 from .sensor import FilterSpec, filtered_series
 
 REFERENCE_MASS = 0.241
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="damping bracket lower edge [N·s/m] (default 0)")
     p_fit.add_argument("--c-high", type=float, default=None,
                        help="damping bracket upper edge [N·s/m] (default 5*c_crit)")
-    p_fit.add_argument("--tolerance", type=float, default=0.01,
+    p_fit.add_argument("--tolerance", type=float, default=DAMPING_TOLERANCE,
                        help="absolute tolerance on the fitted damping [N·s/m]")
     p_fit.add_argument("--raw-peaks", action="store_true",
                        help="match raw |a| peaks instead of sensor-filtered peaks")
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_energy)
     p_energy.add_argument("--altitudes-cm", type=str, required=True,
                           help="comma-separated drop altitudes [cm]")
-    p_energy.add_argument("--threshold-cap-m", type=float, default=100.0,
+    p_energy.add_argument("--threshold-cap-m", type=float, default=THRESHOLD_CAP_M,
                           help="altitude cap for the collision-threshold search [m]")
     p_energy.set_defaults(func=cmd_energy)
 

@@ -224,7 +224,9 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     initial sample and terminates as a rebound; with stop_when_final, as
     MAX_TIME once neither its termination nor its largest compression can
     change. Raises NumericalError when omega_n*h > pi, where a step could
-    hold both a peak and a dip.
+    hold both a peak and a dip, and when the rounding of the step cannot
+    locate an event: a contact so fast that it crosses the stroke within a
+    few ulp of the sample period.
     """
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:

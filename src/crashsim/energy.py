@@ -1,11 +1,12 @@
 """Partition of drop energy into spring, damper and rigid-collision terms.
 
-For a rebound the breakdown is evaluated at maximum compression: the spring
-term is the stored peak 0.5*k*x_max^2 (all of it is returned by lift-off) and
-the damper term is the energy dissipated up to that point. For a collision
-the breakdown is evaluated at the instant compression reaches the clearance:
-the collision term is the residual kinetic energy of the payload there, and
-the damper term follows from the energy balance
+For a rebound the breakdown is evaluated at maximum compression, at the
+last sample that holds it: the spring term is the stored peak 0.5*k*x_max^2
+(all of it is returned by lift-off) and the damper term is the energy
+dissipated up to that point. For a collision the breakdown is evaluated at
+the instant compression reaches the clearance: the collision term is the
+residual kinetic energy of the payload there, and the damper term follows
+from the energy balance
 
     damper = KE_impact + m*g*clearance - spring - collision.
 
@@ -37,6 +38,9 @@ from .dynamics import (
     simulate_contact,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
+
+THRESHOLD_CAP_M = 100.0  # default altitude cap [m] of the collision-threshold search
+THRESHOLD_RESOLUTION_M = 1e-3  # resolution [m] of the collision-threshold bisection
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,9 @@ def energy_partition(params: ImpactParams, scenario: DropScenario) -> EnergyBrea
             damper = kinetic_at_impact + m * g * x_eval - spring - collision
             paper_rule = kinetic_at_impact - spring - collision
     else:
-        i_max = int(np.argmax(traj.compression))
+        # the last of equal maxima: a contact that never leaves x = 0 has
+        # dissipated its whole budget only by its last sample
+        i_max = len(traj) - 1 - int(np.argmax(traj.compression[::-1]))
         x_eval = float(traj.compression[i_max])
         spring = 0.5 * k * x_eval ** 2
         damper = float(traj.damper_energy[i_max])
@@ -150,14 +156,13 @@ def energy_distribution_curve(params: ImpactParams, scenario_template: DropScena
 
 
 def collision_threshold_altitude(params: ImpactParams, scenario_template: DropScenario,
-                                 altitude_cap: float = 100.0,
-                                 tolerance: float = 1e-3) -> float:
+                                 altitude_cap: float = THRESHOLD_CAP_M) -> float:
     """Smallest drop altitude [m] that ends in a collision, by bisection.
 
     Returns math.inf when no collision occurs up to altitude_cap. Resolution
-    is `tolerance` (1 mm by default); the bisection also stops when the
-    interval no longer shrinks, once its midpoint rounds to an end. A drop
-    collides exactly when its first peak within the contact horizon,
+    is THRESHOLD_RESOLUTION_M; the bisection also stops when the interval
+    no longer shrinks, once its midpoint rounds to an end. A drop collides
+    exactly when its first peak within the contact horizon,
     _kernels.first_peak, reaches the stroke: the energy about x_eq never
     grows, so later peaks are lower. The outcome is monotone in altitude:
     x(t) increases with v0 while p01(t) > 0, at least to the first zero of v.
@@ -168,8 +173,6 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
         v_cap = impact_velocity(altitude_cap, params.gravity)
     except DomainError as exc:
         raise ConfigurationError(f"altitude_cap {altitude_cap!r}: {exc}") from exc
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ConfigurationError(f"tolerance must be > 0, got {tolerance}")
 
     period, max_records = _step_grid(params, scenario_template.sample_rate, MAX_TIME_S, [v_cap])
 
@@ -180,7 +183,7 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
     if not collides(altitude_cap):
         return math.inf
     lo, hi = 0.0, altitude_cap
-    while hi - lo > tolerance and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > THRESHOLD_RESOLUTION_M and lo < (mid := 0.5 * (lo + hi)) < hi:
         if collides(mid):
             hi = mid
         else:

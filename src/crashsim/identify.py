@@ -34,6 +34,7 @@ from .dynamics import DropScenario, ImpactParams, drop_peaks
 from .errors import ConfigurationError, DegenerateDataError, DomainError, NumericalError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+DAMPING_TOLERANCE = 0.01  # default absolute tolerance [N·s/m] of the fitted damping
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def mse_loss(damping: float, setup: FitSetup,
 
 def fit_damping(setup: FitSetup, observations: list[PeakObservation],
                 bracket: tuple[float | None, float | None] | None = None,
-                tolerance: float = 0.01) -> FitResult:
+                tolerance: float = DAMPING_TOLERANCE) -> FitResult:
     """Minimize the peak-matching MSE over the damping coefficient.
 
     A 64-point log-spaced grid over the bracket locates the best cell, then

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import prewarped_gain
 from .dynamics import DropScenario, Trajectory
 from .errors import ConfigurationError, DomainError
 
@@ -66,41 +65,35 @@ class SignalTrace:
         return self.values.shape[0]
 
 
+def _lowpass(what: str, sample_rate: float, values: np.ndarray, spec: FilterSpec,
+             last_step: float | None = None) -> np.ndarray:
+    """_kernels.lowpass of the samples of `what` at sample_rate, checked
+    against spec; the final transition spans last_step [s], else one period."""
+    if sample_rate != spec.sample_rate:
+        raise ConfigurationError(f"{what} sample rate {sample_rate} Hz does not match "
+                                 f"filter sample rate {spec.sample_rate} Hz")
+    if len(values) == 0:
+        raise ConfigurationError(f"cannot filter an empty {what}")
+    k_mid = _kernels.prewarped_gain(spec.cutoff, 1.0 / spec.sample_rate)
+    k_last = k_mid if last_step is None else _kernels.prewarped_gain(spec.cutoff, last_step)
+    return _kernels.lowpass(values, k_mid, k_last)
+
+
 def lowpass_filter(trace: SignalTrace, spec: FilterSpec) -> SignalTrace:
     """Apply the discretized low-pass to a trace; output length equals input."""
-    if trace.sample_rate != spec.sample_rate:
-        raise ConfigurationError(
-            f"trace sample rate {trace.sample_rate} Hz does not match "
-            f"filter sample rate {spec.sample_rate} Hz"
-        )
-    if len(trace) == 0:
-        raise ConfigurationError("cannot filter an empty trace")
-    k = prewarped_gain(spec.cutoff, 1.0 / spec.sample_rate)
-    return SignalTrace(trace.sample_rate, _kernels.lowpass(trace.values, k, k))
+    return SignalTrace(trace.sample_rate, _lowpass("trace", trace.sample_rate, trace.values, spec))
 
 
-def filtered_series(traj: Trajectory, spec: FilterSpec,
-                    gravity: float) -> np.ndarray:
+def filtered_series(traj: Trajectory, spec: FilterSpec, gravity: float) -> np.ndarray:
     """Low-pass-filtered specific-force magnitude |a - g| along a trajectory.
 
     The final sample of an event-terminated trajectory sits on a partial
     step; the filter advances over it with a coefficient matched to the
     actual step length.
     """
-    if traj.sample_rate != spec.sample_rate:
-        raise ConfigurationError(
-            f"trajectory sample rate {traj.sample_rate} Hz does not match "
-            f"filter sample rate {spec.sample_rate} Hz"
-        )
-    if len(traj) == 0:
-        raise ConfigurationError("cannot filter an empty trajectory")
-    proper = np.abs(traj.acceleration - gravity)
-    k_mid = prewarped_gain(spec.cutoff, 1.0 / spec.sample_rate)
-    if len(traj) >= 2:
-        k_last = prewarped_gain(spec.cutoff, float(traj.time[-1] - traj.time[-2]))
-    else:
-        k_last = k_mid
-    return _kernels.lowpass(proper, k_mid, k_last)
+    last_step = float(traj.time[-1] - traj.time[-2]) if len(traj) >= 2 else None
+    return _lowpass("trajectory", traj.sample_rate, np.abs(traj.acceleration - gravity),
+                    spec, last_step)
 
 
 def filtered_peak(traj: Trajectory, spec: FilterSpec, gravity: float) -> float:

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from crashsim import DropScenario, ImpactParams
+
+# every run of one commit draws the same examples; each test keeps its own
+# example count
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # fitted reference frame: CogniFly-class flexible exoskeleton
 REFERENCE_MASS = 0.241

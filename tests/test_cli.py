@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -13,11 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crashsim import STANDARD_GRAVITY, DropScenario, cli, identify, io
+from crashsim._kernels import STOP_SLACK
 from crashsim.cli import main
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def default_of(function, name):
+    return inspect.signature(function).parameters[name].default
 
 
 def run_child(*args):
@@ -76,10 +82,30 @@ class TestSimulate:
         assert "sample period" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    # a 1e306 m drop crosses the 16 mm stroke within a few ulp of the 50 us
+    # step, where the event solve cannot locate it: it used to end at
+    # 16.077 mm; a 1e28 m drop is still located on the stroke
+    @pytest.mark.parametrize("altitude_cm,code", [("1e308", 3), ("1e30", 0)])
+    def test_unresolved_event_exit_3(self, tmp_path, altitude_cm, code):
+        proc = run_child("--out-dir", tmp_path, "simulate", "--altitude-cm", altitude_cm)
+        assert proc.returncode == code, proc.stderr
+        if code == 3:
+            assert "not resolved" in proc.stderr
+            assert not (tmp_path / "summary.json").exists()
+        else:
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["termination"] == "collision"
+            assert summary["x_max"] == pytest.approx(0.016, rel=STOP_SLACK)
+
     def test_defaults_are_the_model_defaults(self):
-        args = cli.build_parser().parse_args(["simulate", "--altitude-cm", "100"])
+        parser = cli.build_parser()
+        args = parser.parse_args(["simulate", "--altitude-cm", "100"])
         assert cli._scenario(args, args.altitude_cm / 100.0) == DropScenario(1.0)
         assert args.gravity == STANDARD_GRAVITY
+        args = parser.parse_args(["energy", "--altitudes-cm", "100"])
+        assert args.threshold_cap_m == default_of(cli.collision_threshold_altitude, "altitude_cap")
+        args = parser.parse_args(["fit", "--peaks", "p.csv", "--stiffness", "1"])
+        assert args.tolerance == default_of(cli.fit_damping, "tolerance")
 
 
 class TestSynth:
@@ -505,17 +531,24 @@ def numbers_in(path):
 def run_checked(argv):
     """main(argv) into a fresh output directory with RuntimeWarnings raised
     as errors; returns the exit code once an exit-0 run's files are checked
-    to hold only finite numbers."""
+    to hold only finite numbers, and a simulated collision to end on its
+    stroke."""
+    argv = [str(arg) for arg in argv]
     with tempfile.TemporaryDirectory() as scratch, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = Path(scratch) / "out"
         try:
-            code = main(["--out-dir", str(out), *map(str, argv)])
+            code = main(["--out-dir", str(out), *argv])
         except SystemExit as exc:
             code = exc.code
         if code == 0:
             for path in out.iterdir():
                 assert all(math.isfinite(n) for n in numbers_in(path)), path.name
+            summary = out / "summary.json"
+            report = json.loads(summary.read_text()) if summary.exists() else {}
+            if report.get("termination") == "collision":
+                stroke = cli.build_parser().parse_args(argv).clearance_mm / 1000.0
+                assert report["x_max"] <= stroke * (1.0 + STOP_SLACK)
         return code
 
 
@@ -547,6 +580,7 @@ class TestExtremeOptions:
           "--stiffness", "2.2250738585072014e-308"), 0, None),
         (("simulate", "--altitude-cm", "2.2250738585072014e-308", "--mass", "1e6",
           "--gravity", "1e-300", "--stiffness", "1.7976931348623157e308"), 0, None),
+        (("simulate", "--altitude-cm", "1e300"), 3, "not resolved"),
     ])
     def test_found_cases(self, fit_inputs, capsys, argv, code, message):
         if argv[0] == "fit":

@@ -2,8 +2,9 @@
 
 analytic_solution covers zeta < 1 only. Here scipy's DOP853 integrates the
 contact ODE m*x'' + c*x' + k*x = m*g with terminal events at the stroke and
-at x = 0 after compression, for zeta = 1 exactly, 1 + 1e-8, 3 and 30, at
-altitudes on both sides of each frame's collision threshold. The same
+at x = 0 after compression, for zeta = 1 exactly, 1 + 1e-8, 3 and 30, and
+for the full contacts of zeta = 0, 0.3, the reference 0.56 and 1 - 1e-8 too,
+at altitudes on both sides of each frame's collision threshold. The same
 integration without the stroke, up to the first v = 0, checks the closed-form
 first peak for zeta = 0, 0.3, the reference 0.56, 1 - 1e-8, 1, 1 + 1e-8, 3
 and 30, and, with the damper energy integral of c*v**2 as a third state, the
@@ -49,12 +50,18 @@ C_REFERENCE = 2.0 * math.sqrt(0.241 * 7040.0)
 
 # (mass, damping, stiffness) and an altitude below and above the frame's
 # collision threshold with the 16 mm stroke (3.83 m, 3.83 m, 16.0 m and
-# 1378 m); 400 N*s/m is exactly critical for the 1 kg, 40 000 N/m frame
+# 1378 m; then 0.365 m at zeta 0, 0.824 m at zeta 0.3, 1.398 m for the
+# reference zeta 0.56 and 3.83 m at zeta 1 - 1e-8); 400 N*s/m is exactly
+# critical for the 1 kg, 40 000 N/m frame
 CASES = [
     ((1.0, 400.0, 40000.0), (3.0, 4.8)),
     ((1.0, 400.0 * (1.0 + 1e-8), 40000.0), (3.0, 4.8)),
     ((0.241, 3.0 * C_REFERENCE, 7040.0), (12.5, 20.0)),
     ((0.241, 30.0 * C_REFERENCE, 7040.0), (1100.0, 1750.0)),
+    ((0.241, 0.0, 7040.0), (0.2, 0.5)),
+    ((0.241, 0.3 * C_REFERENCE, 7040.0), (0.5, 1.2)),
+    ((0.241, 46.0, 7040.0), (1.0, 2.0)),
+    ((1.0, 400.0 * (1.0 - 1e-8), 40000.0), (3.0, 4.8)),
 ]
 
 
