@@ -32,6 +32,10 @@ simulate_impact keeps the samples of one contact; drop_peaks keeps only the
 peak acceleration and the termination of many, and stops each contact as
 soon as neither can change any more, so both read the same samples (as
 simulate_impact does, with stop_when_final, for its largest compression).
+A drop_peaks call of at least _kernels.BULK_CONTACTS drops, such as the
+fit's grid scan, settles the contacts that end in bulk, with one array
+event solve and one batched filter per batch instead of one of each per
+contact; the results are the same bit for bit.
 The accumulated damper energy (integral of c*x'^2) is not propagated:
 simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
 the recorded states, independently of the energy balance; damper_gram is
@@ -186,12 +190,14 @@ def impact_velocity(drop_altitude: float, gravity: float = STANDARD_GRAVITY) -> 
                            math.sqrt(2.0 * gravity * drop_altitude))
 
 
-def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
+def _step_grid(params: ImpactParams, scenario: DropScenario, max_time: float,
                v0s) -> tuple[float, int]:
-    """(sample period, samples to max_time) for contacts from the speeds v0s;
-    refuses an overflowing rate or contact scale, over MAX_RECORDS samples and,
-    unless no contact moves, omega_n*h > pi: a step could hold a peak and a dip."""
-    period, w, m = 1.0 / float(sample_rate), params.natural_frequency, params.mass
+    """(sample period, samples to max_time) for contacts from the speeds v0s
+    with the stroke and sample rate of `scenario`; refuses an overflowing rate
+    or contact scale, a static sag that swamps the stroke, over MAX_RECORDS
+    samples and, unless no contact moves, omega_n*h > pi: a step could hold a
+    peak and a dip."""
+    period, w, m = 1.0 / float(scenario.sample_rate), params.natural_frequency, params.mass
     if not math.isfinite(rate := 2.0 * w + params.damping / m):
         raise NumericalError(f"the contact rate 2*omega_n + c/m overflows to {rate}")
     # r = sqrt(2E) of the fastest contact bounds |v| and omega*|x - x_eq|: what it
@@ -200,6 +206,14 @@ def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
     span = r / min(w, 1.0)
     if not math.isfinite(4.0 * max(span * span, max(m, 1.0) * r * max(r, rate), 1.0 / m)):
         raise NumericalError(f"the contact scales overflow: sqrt(2E) = {r:g} m/s, m = {m:g} kg")
+    # states are propagated as y = x - x_eq and an event is accepted within
+    # STOP_SLACK*(|x_eq - wall| + |y|) of its wall, so a sag that makes that
+    # exceed the stroke cannot tell the stroke from zero (at x_eq = 3.4e15 m
+    # y rounds to 0.5 m and a collision was reported at x = 0)
+    x_eq = params.gravity / (params.stiffness / m)
+    if _kernels.STOP_SLACK * x_eq > scenario.clearance:
+        raise NumericalError(f"the static sag m*g/k = {x_eq:g} m swamps the "
+                             f"{scenario.clearance:g} m stroke in rounding")
     if any(v0s) and w * period > math.pi:
         raise NumericalError(
             f"sample period {period:.6g} s exceeds half the natural period "
@@ -207,7 +221,7 @@ def _step_grid(params: ImpactParams, sample_rate: float, max_time: float,
             f"collision could fall between samples",
             time=period,
         )
-    if not (records := float(max_time) * float(sample_rate)) <= MAX_RECORDS:
+    if not (records := float(max_time) * float(scenario.sample_rate)) <= MAX_RECORDS:
         raise DomainError(f"max_time * sample_rate is {records:g} samples, over {MAX_RECORDS:g}")
     return period, math.ceil(records)
 
@@ -234,7 +248,7 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     if not _require_finite("max_time", max_time) > 0.0:
         raise DomainError(f"max_time must be > 0, got {max_time}")
 
-    period, max_records = _step_grid(params, scenario.sample_rate, max_time, [v0])
+    period, max_records = _step_grid(params, scenario, max_time, [v0])
     _, codes, kept = _kernels.propagate_contacts(
         params.mass, [params.damping], params.stiffness, params.gravity, [v0],
         scenario.clearance, period, max_records, keep=True, stop_when_final=stop_when_final,
@@ -291,7 +305,7 @@ def drop_peaks(params: ImpactParams, scenario: DropScenario, dampings, altitudes
         raise DomainError(f"dampings must be finite and >= 0, got {dampings!r}")
     v0s = [impact_velocity(h, params.gravity) for h in altitudes]
     strongest = replace(params, damping=float(dampings.max(initial=0.0)))
-    period, max_records = _step_grid(strongest, scenario.sample_rate, MAX_TIME_S, v0s)
+    period, max_records = _step_grid(strongest, scenario, MAX_TIME_S, v0s)
     peaks, codes, _ = _kernels.propagate_contacts(
         params.mass, dampings, params.stiffness, params.gravity, v0s,
         scenario.clearance, period, max_records,

@@ -140,7 +140,7 @@ def stroke_margin(params: ImpactParams, scenario: DropScenario) -> float:
     """Stroke [m] left by the first compression peak of the drop of `scenario`
     within the contact horizon; negative when the unclipped peak passes it."""
     v0 = impact_velocity(scenario.drop_altitude, params.gravity)
-    period, max_records = _step_grid(params, scenario.sample_rate, MAX_TIME_S, [v0])
+    period, max_records = _step_grid(params, scenario, MAX_TIME_S, [v0])
     return scenario.clearance - first_peak(params, v0, period * max_records)
 
 
@@ -174,7 +174,7 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
     except DomainError as exc:
         raise ConfigurationError(f"altitude_cap {altitude_cap!r}: {exc}") from exc
 
-    period, max_records = _step_grid(params, scenario_template.sample_rate, MAX_TIME_S, [v_cap])
+    period, max_records = _step_grid(params, scenario_template, MAX_TIME_S, [v_cap])
 
     def collides(h: float) -> bool:
         v0 = impact_velocity(h, params.gravity)

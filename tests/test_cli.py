@@ -97,6 +97,15 @@ class TestSimulate:
             assert summary["termination"] == "collision"
             assert summary["x_max"] == pytest.approx(0.016, rel=STOP_SLACK)
 
+    def test_static_sag_past_the_stroke_exit_3(self, tmp_path):
+        # x_eq = m*g/k = 3.4e15 m rounds y = x - x_eq to ~0.5 m: it used to
+        # end as a collision at x = 0 with two samples at t = 0
+        proc = run_child("--out-dir", tmp_path, "simulate", "--altitude-cm", "100",
+                         "--gravity", "1e20")
+        assert proc.returncode == 3, proc.stderr
+        assert "static sag" in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_defaults_are_the_model_defaults(self):
         parser = cli.build_parser()
         args = parser.parse_args(["simulate", "--altitude-cm", "100"])
@@ -531,8 +540,8 @@ def numbers_in(path):
 def run_checked(argv):
     """main(argv) into a fresh output directory with RuntimeWarnings raised
     as errors; returns the exit code once an exit-0 run's files are checked
-    to hold only finite numbers, and a simulated collision to end on its
-    stroke."""
+    to hold only finite numbers, a simulated collision to end on its stroke
+    and a trajectory's time to increase strictly."""
     argv = [str(arg) for arg in argv]
     with tempfile.TemporaryDirectory() as scratch, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -549,6 +558,10 @@ def run_checked(argv):
             if report.get("termination") == "collision":
                 stroke = cli.build_parser().parse_args(argv).clearance_mm / 1000.0
                 assert report["x_max"] <= stroke * (1.0 + STOP_SLACK)
+            trajectory = out / "trajectory.csv"
+            if trajectory.exists():
+                time = np.loadtxt(trajectory, delimiter=",", skiprows=1, usecols=0, ndmin=1)
+                assert np.all(np.diff(time) > 0.0), "trajectory time does not increase"
         return code
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,19 +162,46 @@ class TestLowpassMatchesLoop:
                                    lowpass_loop(values, 0.0787, k_last),
                                    rtol=1e-12, atol=1e-12)
 
+    # the bulk settle filters the records of a call as columns of one block
+    @settings(max_examples=40, deadline=None)
+    @given(traces=st.lists(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=300),
+                           min_size=1, max_size=8),
+           ratio=st.sampled_from([4.0, 10.0, 40.0, 200.0, 2000.0]),
+           shares=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8))
+    def test_block_of_mixed_lengths(self, traces, ratio, shares):
+        lengths = np.array([len(trace) for trace in traces])
+        block = np.full((len(traces), lengths.max() + 2), 7.0)  # samples past a trace are ignored
+        for col, trace in enumerate(traces):
+            block[col, :len(trace)] = trace
+        k_mid = math.tan(math.pi / ratio)
+        k_last = np.tan(math.pi / ratio * np.array(shares[:len(traces)]))
+        # the time-major block in either memory order
+        for time_major in (block.T, np.ascontiguousarray(block.T)):
+            got = _kernels.lowpass(time_major, k_mid, k_last, lengths)
+            for col, trace in enumerate(traces):
+                values = np.array(trace)
+                alone = got[:len(trace), col]
+                # bit for bit the trace filtered alone, and within rounding of the loop
+                np.testing.assert_array_equal(alone, _kernels.lowpass(values, k_mid, k_last[col]))
+                scale = max(float(np.max(np.abs(values))), 1e-300)
+                np.testing.assert_allclose(alone, lowpass_loop(values, k_mid, k_last[col]),
+                                           rtol=1e-12, atol=1e-12 * scale)
+
 
 class TestStopFiltersOnce:
     """A record is filtered only once its largest reading exceeds the stop's
-    bound, so every contact is filtered once, at its stop or at its end."""
+    bound, so every contact is filtered once, at its stop or at its end,
+    alone or as one column of a bulk settle's block."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
+        """The length of every record filtered, one entry per trace."""
         lengths = []
         lowpass = _kernels.lowpass
 
-        def counting(values, k_mid, k_last):
-            lengths.append(values.size)
-            return lowpass(values, k_mid, k_last)
+        def counting(values, k_mid, k_last, traces=None):
+            lengths.extend([values.size] if traces is None else traces.tolist())
+            return lowpass(values, k_mid, k_last, traces)
 
         monkeypatch.setattr(_kernels, "lowpass", counting)
         return lengths
@@ -282,3 +310,131 @@ class TestBatchedPeaksMatchTrajectories:
         peaks, terminations = drop_peaks(params, DropScenario(0.0, sample_rate=1500.0),
                                          [0.0], [0.0])
         assert terminations[0, 0] is Termination.REBOUND
+
+
+class TestElementwiseMath:
+    """A bulk settle solves its events as arrays where a smaller call solves
+    each alone; they agree bit for bit only while numpy gives an element of
+    an array the bits it gives the same value alone."""
+
+    @pytest.mark.parametrize("function", [np.exp, np.cos, np.sin, np.expm1])
+    @pytest.mark.parametrize("size", [1, 3, 8, 165])
+    def test_array_element_equals_value_alone(self, function, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            # arguments as _transition forms them: -alpha*tau, r*tau, -2*r*tau
+            values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12.0, 2.5, size)
+            got = function(values)
+            for value, element in zip(values.tolist(), got.tolist()):
+                alone = float(function(value))
+                assert np.float64(element).tobytes() == np.float64(alone).tobytes(), (
+                    f"np.{function.__name__}({value!r}) is {alone!r} alone but {element!r} "
+                    f"in a {size}-element array: on this platform a bulk drop_peaks call "
+                    f"(B x A >= _kernels.BULK_CONTACTS) can differ in the last bits from "
+                    f"the same contacts simulated one by one")
+
+
+def contact_by_contact(params, scenario, dampings, altitudes, use_raw_peak):
+    """drop_peaks of each (damping, altitude) alone, below the bulk size."""
+    peaks = np.empty((len(dampings), len(altitudes)))
+    terminations = np.empty(peaks.shape, dtype=object)
+    for b, damping in enumerate(dampings):
+        for a, altitude in enumerate(altitudes):
+            peak, termination = drop_peaks(params, scenario, [damping], [altitude], use_raw_peak)
+            peaks[b, a], terminations[b, a] = peak[0, 0], termination[0, 0]
+    return peaks, terminations
+
+
+class TestBulkSettle:
+    """A call of at least BULK_CONTACTS contacts settles their events and
+    filters their records in bulk; it must give what each contact gives alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(mass=st.floats(0.03, 3.0),
+           zetas=st.lists(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 8.0),
+                          min_size=6, max_size=8),
+           stiffness=st.floats(100.0, 50000.0),
+           stroke=st.floats(0.9, 20.0),
+           altitudes=st.lists(st.just(0.0) | st.floats(-5.0, 1.3).map(lambda e: 10.0 ** e),
+                              min_size=3, max_size=3),
+           sample_rate=st.sampled_from([1500.0, 20000.0, 100000.0]),
+           use_raw_peak=st.booleans())
+    def test_bulk_call_equals_contacts_alone(self, mass, zetas, stiffness, stroke, altitudes,
+                                             sample_rate, use_raw_peak):
+        params = params_at(0.0, mass, stiffness)
+        dampings = [zeta * params.critical_damping for zeta in zetas]
+        # strokes from just below the static deflection x_eq = m*g/k
+        scenario = DropScenario(0.0, clearance=stroke * mass * 9.81 / stiffness,
+                                sample_rate=sample_rate)
+        assert len(dampings) * len(altitudes) >= _kernels.BULK_CONTACTS
+        peaks, terminations = drop_peaks(params, scenario, dampings, altitudes, use_raw_peak)
+        alone_peaks, alone_terminations = contact_by_contact(params, scenario, dampings,
+                                                             altitudes, use_raw_peak)
+        np.testing.assert_array_equal(peaks, alone_peaks)
+        assert (terminations == alone_terminations).all()
+
+    def test_event_times_are_the_scalar_solves(self, monkeypatch):
+        # every event a bulk call solves, including the unresolved ones of
+        # 1e297 m drops whose bracket closes first, against _event_time
+        solved = []
+        event_times = _kernels._event_times
+
+        def recording(*args):
+            solved.append(args)
+            return event_times(*args)
+
+        monkeypatch.setattr(_kernels, "_event_times", recording)
+        dampings = [0.0, *np.geomspace(1e-3, 5.0 * C_CRIT, 7), C_CRIT]
+        for altitudes, sample_rate in [([0.01, 0.5, 1.5, 20.0], 1500.0),
+                                       ([0.001, 0.3, 2.0, 5.0], 100000.0),
+                                       ([1.0, 1e297, 3e297, 1e298], 20000.0)]:
+            scenario = DropScenario(0.0, clearance=0.004, sample_rate=sample_rate)
+            try:
+                drop_peaks(params_at(0.0), scenario, dampings, altitudes)
+            except NumericalError:
+                pass
+        assert len(solved) == 3
+        for branches, w2, offset, y0, y1, dt in solved:
+            alpha = np.empty(offset.size)
+            for _, at, branch_alpha, _ in branches:
+                alpha[at] = branch_alpha
+            roots = event_times(branches, w2, offset, y0, y1, dt)
+            for i, root in enumerate(roots):
+                assert root == _kernels._event_time(alpha[i], w2, offset[i], y0[i], y1[i], dt[i])
+
+    @pytest.mark.parametrize("use_raw_peak", [False, True])
+    def test_small_budget_settles_in_batches(self, monkeypatch, use_raw_peak):
+        params = ImpactParams(MASS, 46.0, STIFFNESS)
+        dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
+        scenario = DropScenario(0.0)
+        whole = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
+        settles = []
+        branches = _kernels._branches
+
+        def counting(alpha, w2):
+            settles.append(alpha.size)
+            return branches(alpha, w2)
+
+        monkeypatch.setattr(_kernels, "_branches", counting)
+        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 4 * _kernels.CHUNK_STEPS)
+        batched = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
+        # batches of events both above and below the size the array solve needs
+        assert len(settles) >= 8 and min(settles) < _kernels.BULK_CONTACTS <= max(settles)
+        np.testing.assert_array_equal(batched[0], whole[0])
+        assert (batched[1] == whole[1]).all()
+
+    def test_unresolved_event_raises_the_first(self, monkeypatch):
+        # 1e297 m and 1e298 m drops cross the stroke within a few ulp of the
+        # step, where no solve can locate the event (see the CLI's exit 3)
+        params = ImpactParams(MASS, 46.0, STIFFNESS)
+        dampings, altitudes = np.geomspace(1.0, 100.0, 6), [1.0, 1e298, 1e297]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as bulk:
+                drop_peaks(params, DropScenario(0.0), dampings, altitudes)
+            monkeypatch.setattr(_kernels, "BULK_CONTACTS", math.inf)
+            with pytest.raises(NumericalError) as inline:
+                drop_peaks(params, DropScenario(0.0), dampings, altitudes)
+        assert "not resolved" in str(inline.value)
+        assert str(bulk.value) == str(inline.value)
+        assert bulk.value.time == inline.value.time
