@@ -115,21 +115,46 @@ def _transitions(branches, w2, tau):
     return phi
 
 
+def _turning_time(alpha, w2, y, v, d, r):
+    """Time [s] from the state (y, v) to the next zero of v = c_*v + s_*u,
+    u = -w2*y - alpha*v, with (d, r) = _mode(alpha, w2): tan(r*t) = -r*v/u,
+    tanh(r*t) = -r*v/u or t = -v/u, no root solve; inf when v keeps its
+    sign. (v, u) and (-v, -u) share the root, which is solved for v >= 0."""
+    sign = math.copysign(1.0, v)
+    v, u = abs(v), sign * (-w2 * y - alpha * v)
+    if d > 0.0:
+        return math.atan2(r * v, -u) / r
+    if d < 0.0:
+        return math.atanh(r * v / -u) / r if -u > r * v else math.inf
+    return -v / u if u < 0.0 else math.inf
+
+
+def _reach(alpha, w2, y, v):
+    """(lo, hi) around every later y from the state (y, v), widened by
+    STOP_SLACK of hypot(y, v/sqrt(w2)). y moves monotonically to the next
+    extremum y1, at _turning_time; when underdamped the next one is
+    y2 = -y1*exp(-alpha*pi/r) (the logarithmic decrement) and later ones
+    shrink on, else y creeps on to 0 without another extremum."""
+    d, r = _mode(alpha, w2)
+    ends = [y, 0.0]
+    t = _turning_time(alpha, w2, y, v, d, r)
+    if t < math.inf:
+        p00, p01, _, _ = _transition(alpha, w2, t, d, r)
+        y1 = float(p00 * y + p01 * v)
+        ends += [y1, -y1 * math.exp(-alpha * math.pi / r) if d > 0.0 else 0.0]
+    pad = STOP_SLACK * math.hypot(y, v / math.sqrt(w2))
+    return min(ends) - pad, max(ends) + pad
+
+
 def first_peak(params, v0, horizon):
     """Largest compression [m] from x = 0 at speed v0 (0 when v0 = 0) up to
-    the horizon [s] or the first zero of v = c_*v0 + s_*u, u = g - alpha*v0,
-    at tan(r*t) = -r*v0/u, tanh(r*t) = -r*v0/u or t = -v0/u: no root solve."""
+    the horizon [s] or the first zero of v, at _turning_time from
+    (-x_eq, v0)."""
     alpha, w2 = 0.5 * params.damping / params.mass, params.stiffness / params.mass
     x_eq = params.gravity / w2
-    u = w2 * x_eq - alpha * v0
-    d, root = _mode(alpha, w2)
-    if d > 0.0:
-        t = math.atan2(root * v0, -u) / root
-    elif d < 0.0:
-        t = math.atanh(root * v0 / -u) / root if -u > root * v0 else math.inf
-    else:
-        t = -v0 / u if u < 0.0 else math.inf
-    p00, p01, _, _ = _transition(alpha, w2, min(t, horizon) if v0 else 0.0)
+    d, r = _mode(alpha, w2)
+    t = _turning_time(alpha, w2, -x_eq, v0, d, r)
+    p00, p01, _, _ = _transition(alpha, w2, min(t, horizon) if v0 else 0.0, d, r)
     return float(x_eq + (p00 * -x_eq + p01 * v0))
 
 
@@ -183,13 +208,16 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
     """Root tau in (0, dt] of offset + x-row of Phi(tau) applied to (y0, y1),
     where the step [0, dt] brackets a sign change. Newton steps on the
     closed form, kept inside the bracket by bisection; equal ends give dt."""
+    # on Python floats: the operations of numpy scalars at a fraction of the cost
+    alpha, offset, y0, y1, dt = map(float, (alpha, offset, y0, y1, dt))
+    mode = _mode(alpha, w2)
     lo, hi = 0.0, dt
     f_lo = offset + y0
-    p00, p01, _, _ = _transition(alpha, w2, dt)
+    p00, p01, _, _ = map(float, _transition(alpha, w2, dt, *mode))
     f_hi = offset + p00 * y0 + p01 * y1
     tau = dt * f_lo / (f_lo - f_hi) if f_lo != f_hi else dt
     for _ in range(100):
-        p00, p01, p10, p11 = _transition(alpha, w2, tau)
+        p00, p01, p10, p11 = map(float, _transition(alpha, w2, tau, *mode))
         f = offset + p00 * y0 + p01 * y1
         if f == 0.0:
             break
@@ -204,8 +232,8 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
             nxt = 0.5 * (lo + hi)
         if nxt == tau or hi - lo <= 4.0 * math.ulp(dt):
             break
-        tau = float(nxt)
-    return float(tau)
+        tau = nxt
+    return tau
 
 
 def _event_times(branches, w2, offset, y0, y1, dt):
@@ -277,11 +305,13 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     neither its outcome nor its peak (with `keep`, its largest x) can change.
     With y = x - x_eq and w2 = k/m:
 
-    - E = v**2/2 + w2*y**2/2 never grows (dE/dt = -(c/m)*v**2), so from any
-      state on |y| <= sqrt(2E/w2). With x_eq -+ that bound strictly inside
+    - y moves monotonically to its next extremum, and later extrema shrink
+      by exp(-alpha*pi/r) each, so _reach gives the range of every later y
+      from the next one or two. With x_eq + that range strictly inside
       (0, clearance) no event can follow: the contact reaches max_time. Below
-      the largest x so far, x_eq + that bound ends a kept contact as max_time.
-    - a = -(c/m)*v - w2*y, so every later |a| is at most
+      the largest x so far, its top ends a kept contact as max_time.
+    - E = v**2/2 + w2*y**2/2 never grows (dE/dt = -(c/m)*v**2) and
+      a = -(c/m)*v - w2*y, so every later |a| is at most
       sqrt(2E)*(sqrt(w2) + c/m), and every later |a - g| at most g more.
     - For k <= 1 the filter's coefficients b0, b0 and r are nonnegative and
       sum to 1, so every later output is at most the largest of the current
@@ -484,9 +514,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         if not keep:
             samples = np.abs(accel(damping[:, None], x, v) - shift)
         if stops:
-            # twice the energy one sample before the chunk's end bounds the rest
-            ye, ve = y[:, chunk - 1], v[:, chunk - 1]
-            energy2 = ve * ve + w2 * ye * ye
+            # the state one sample before the chunk's end bounds the rest
+            ye, ve = y[:, chunk - 1].tolist(), v[:, chunk - 1].tolist()
 
         for s, row in enumerate(row_of):
             if row is None:
@@ -541,14 +570,15 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             if not stops:
                 continue
             top[s] = max(top[s], (x if keep else samples)[s].max())
-            radius = slack * math.sqrt(energy2[s] / w2)
-            if not (x_eq - radius > 0.0 and x_eq + radius < clearance):
+            lo, hi = _reach(alpha, w2, ye[s], ve[s])
+            if not (x_eq + lo > 0.0 and x_eq + hi < clearance):
                 continue
             if keep:  # every later compression stays below the largest so far
-                if x_eq + radius < top[s]:
+                if x_eq + hi < top[s]:
                     finish(s, TERM_MAX_TIME, None, period * done[s])
                 continue
-            bound = slack * (shift + math.sqrt(energy2[s]) * (w + damping[s] / mass))
+            energy2 = ve[s] * ve[s] + w2 * ye[s] * ye[s]
+            bound = slack * (shift + math.sqrt(energy2) * (w + damping[s] / mass))
             if (value := peak(s, k_mid, bound)) is not None:
                 settle(s, TERM_MAX_TIME, value)
     if ended:

@@ -24,7 +24,7 @@ from crashsim import (
     simulate_impact,
 )
 from crashsim import energy
-from crashsim._kernels import first_peak
+from crashsim._kernels import CHUNK_STEPS, first_peak
 from crashsim.dynamics import MAX_TIME_S
 
 
@@ -339,6 +339,19 @@ class TestFinalBreakdownStop:
             assert np.array_equal(getattr(short, name), getattr(full, name)[:n])
         assert short.max_compression == full.max_compression
         assert energy_partition(params, scenario).termination is Termination.MAX_TIME
+
+    @pytest.mark.parametrize("zeta", [2.0, 3.0, 10.0])
+    def test_deep_overdamped_drop_stops_after_one_chunk(self, make_scenario, zeta):
+        # still 3 to 8 x_eq deep after the first chunk, yet it can never get
+        # back to x = 0 nor above its peak: the contact stops there
+        params = ImpactParams(0.241, zeta * 2.0 * math.sqrt(0.241 * 7040.0), 7040.0)
+        scenario = make_scenario(1.0)
+        short = simulate_contact(params, scenario, stop_when_final=True)
+        assert len(short) == CHUNK_STEPS + 1
+        assert short.compression[-1] > 2.0 * 0.241 * 9.81 / 7040.0
+        got = energy_partition(params, scenario).as_json_dict()
+        want = self.full_horizon_partition(params, scenario).as_json_dict()
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
     def test_simulate_contact_keeps_full_horizon(self, make_scenario):
         params = ImpactParams(0.241, 3.0 * 2.0 * math.sqrt(0.241 * 7040.0), 7040.0)

@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from crashsim import (
     DropScenario,
@@ -225,6 +227,140 @@ class TestStopFiltersOnce:
         peaks, _ = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
         assert len(passes) == peaks.size == 198
 
+    # a bulk call filters the contacts that end, at events or at the
+    # horizon, as blocks, and each one that stops alone, on n*CHUNK_STEPS + 1
+    # readings after n chunks: every max_time contact of the grid stops at
+    # its first chunk boundary, as soon as its peak is final, though the
+    # frame is then still many x_eq deep
+    def test_reference_fit_grid_settles_after_one_chunk(self, passes, monkeypatch):
+        stops = []
+        lowpass = _kernels.lowpass
+
+        def recording(values, k_mid, k_last, traces=None):
+            if traces is None:
+                stops.append(values.size)
+            return lowpass(values, k_mid, k_last, traces)
+
+        monkeypatch.setattr(_kernels, "lowpass", recording)
+        params = ImpactParams(MASS, 46.0, STIFFNESS)
+        dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
+        altitudes = [0.5, 1.0, 1.5]
+        peaks, terminations = drop_peaks(params, DropScenario(0.0), dampings, altitudes)
+        late = np.argwhere(terminations == Termination.MAX_TIME)
+        assert len(passes) == 198
+        assert stops == [_kernels.CHUNK_STEPS + 1] * len(late) and len(late) == 33
+        for b, a in late:
+            peak, termination = full_trajectory_outcome(
+                ImpactParams(MASS, dampings[b], STIFFNESS), DropScenario(altitudes[a]), False)
+            assert peaks[b, a] == peak and termination is Termination.MAX_TIME
+
+    def test_deep_overdamped_drop_settles_after_one_chunk(self, passes):
+        params, scenario = params_at(3.0), DropScenario(1.0)
+        full = simulate_contact(params, scenario)
+        x_eq = MASS * 9.81 / STIFFNESS
+        assert full.compression[_kernels.CHUNK_STEPS] > 2.0 * x_eq
+        peaks, terminations = drop_peaks(params, scenario, [params.damping], [1.0])
+        assert passes == [_kernels.CHUNK_STEPS + 1]
+        assert terminations[0, 0] is full.termination is Termination.MAX_TIME
+        assert peaks[0, 0] == filtered_peak(full, FilterSpec.from_scenario(scenario), 9.81)
+
+
+def free_motion(alpha, w2, y, v, t):
+    """(y, v) at times t from the state (y, v) of y'' + 2*alpha*y' + w2*y = 0:
+    the textbook solution of each damping regime, in extended precision."""
+    ld = np.longdouble
+    a, w2, y0, v0 = ld(alpha), ld(w2), ld(y), ld(v)
+    t = np.asarray(t, dtype=ld)
+    d = w2 - a * a
+    if d > 0:
+        r = np.sqrt(d)
+        decay, cos, sin = np.exp(-a * t), np.cos(r * t), np.sin(r * t) / r
+        return (decay * (y0 * cos + (v0 + a * y0) * sin),
+                decay * (v0 * cos - (a * v0 + w2 * y0) * sin))
+    if d < 0:
+        r = np.sqrt(-d)
+        slow, fast = -w2 / (a + r), -a - r  # the roots -a + r and -a - r
+        c_slow = (v0 - fast * y0) / (2 * r)
+        e_slow, e_fast = np.exp(slow * t), np.exp(fast * t)
+        return (c_slow * e_slow + (y0 - c_slow) * e_fast,
+                slow * c_slow * e_slow + fast * (y0 - c_slow) * e_fast)
+    decay, b = np.exp(-a * t), v0 + a * y0
+    return decay * (y0 + b * t), decay * (v0 - a * b * t)
+
+
+class TestReachBound:
+    """_reach bounds every later y of a contact's state, and no wider than
+    STOP_SLACK: the stop rule ends a contact only where no rebound, no
+    collision and no larger compression can follow."""
+
+    ZETAS = [0.0, 0.3, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 3.0, 30.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega=st.floats(1.0, 3.0).map(lambda e: 10.0 ** e),
+           zeta=st.sampled_from(ZETAS) | st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+           amplitude=st.floats(-5.0, -1.0).map(lambda e: 10.0 ** e),
+           y_share=st.just(0.0) | st.floats(-1.0, 1.0),
+           v_share=st.just(0.0) | st.floats(-1.0, 1.0))
+    def test_hull_holds_and_is_attained(self, omega, zeta, amplitude, y_share, v_share):
+        w2, alpha = omega * omega, zeta * omega
+        y, v = amplitude * y_share, amplitude * omega * v_share
+        radius = math.hypot(y, v / omega)
+        # the widening is a normal float: below that the state is all rounding
+        assume(radius == 0.0 or _kernels.STOP_SLACK * radius >= sys.float_info.min)
+        lo, hi = _kernels._reach(alpha, w2, y, v)
+        # the slowest decay rate; 60 time constants leave e**-60 of any term,
+        # and an underdamped y meets its next two extrema within 2*pi/r
+        d = w2 - alpha * alpha
+        slowest = alpha if d >= 0.0 else w2 / (alpha + math.sqrt(-d))
+        span = 60.0 / slowest if slowest > 0.0 else math.inf
+        if d > 0.0:
+            span = min(span, 2.01 * math.pi / math.sqrt(d))
+        t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 20001),
+                                      np.geomspace(1e-7, max(span, 1.0), 4001)]))
+        ys, vs = free_motion(alpha, w2, y, v, t)
+        ys = ys.astype(float)
+        assert lo <= ys.min() and ys.max() <= hi
+        # extrema located between the samples, by an independent root solve
+        turns = np.nonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
+        extrema = [float(free_motion(alpha, w2, y, v, brentq(
+            lambda s: float(free_motion(alpha, w2, y, v, s)[1]), t[i], t[i + 1],
+            xtol=1e-15))[0]) for i in turns]
+        # y tends to 0, which bounds the hull's ends where they are limits
+        attained = [ys.min(), ys.max(), *extrema, 0.0]
+        tolerance = 2.0 * _kernels.STOP_SLACK * radius
+        assert lo >= min(attained) - tolerance
+        assert hi <= max(attained) + tolerance
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 2.0, 3.0, 4.5])
+    def test_undamped_later_peak_at_the_top(self, phase):
+        # zeta = 0: every later peak reaches the largest x so far exactly, so
+        # a kept contact must not stop below it
+        w2, amplitude = 7040.0 / 0.241, 0.01
+        y, v = amplitude * math.cos(phase), -amplitude * math.sqrt(w2) * math.sin(phase)
+        lo, hi = _kernels._reach(0.0, w2, y, v)
+        assert not hi < amplitude and not lo > -amplitude
+
+    @pytest.mark.parametrize("zeta", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("miss", [-1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("before", [0.0, 0.4])
+    def test_grazing_dip_and_peak(self, zeta, miss, before):
+        # a peak of 10 mm, reached `before` of a half period after the state,
+        # and the dip after it; x_eq and the stroke are placed so that the dip
+        # and the peak stop `miss` metres short of their walls (past them
+        # when negative)
+        w2 = 7040.0 / 0.241
+        alpha = zeta * math.sqrt(w2)
+        half = math.pi / math.sqrt(w2 - alpha * alpha)
+        y, v = (float(q) for q in free_motion(alpha, w2, 0.01, 0.0, -before * half))
+        dip = float(free_motion(alpha, w2, 0.01, 0.0, half)[0])
+        lo, hi = _kernels._reach(alpha, w2, y, v)
+        x_eq = miss - dip  # the dip reaches x = miss
+        clearance = x_eq + 0.01 + miss  # the peak reaches the stroke less miss
+        if miss <= 0.0:  # a wall is reached: the band must not clear it
+            assert not x_eq + lo > 0.0
+            assert not x_eq + hi < clearance
+        assert lo <= dip and hi >= 0.01
+
 
 def full_trajectory_outcome(params, scenario, use_raw_peak):
     """Peak and termination read from the whole simulated trajectory."""
@@ -401,6 +537,31 @@ class TestBulkSettle:
             roots = event_times(branches, w2, offset, y0, y1, dt)
             for i, root in enumerate(roots):
                 assert root == _kernels._event_time(alpha[i], w2, offset[i], y0[i], y1[i], dt[i])
+
+    # the scalar solve runs on Python floats, the array solve on numpy
+    # arrays: the same IEEE operations, so the same roots, for event solves
+    # and turning-step solves (offset 0, on the state (v, a)) in every regime
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(1.0, 3.0).map(lambda e: 10.0 ** e),
+           zeta=st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0])
+           | st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+           sample_rate=st.sampled_from([1500.0, 5000.0, 20000.0, 100000.0]),
+           y=st.floats(-0.05, 0.05), v=st.floats(-5.0, 5.0),
+           share=st.floats(0.0, 1.0), turning=st.booleans())
+    def test_scalar_solve_is_the_array_solve(self, omega, zeta, sample_rate, y, v, share,
+                                             turning):
+        w2, alpha, dt = omega * omega, zeta * omega, 1.0 / sample_rate
+        if turning:
+            y, v = v, -w2 * y - 2.0 * alpha * v
+        p00, p01, _, _ = _kernels._transition(alpha, w2, dt)
+        offset = 0.0 if turning else -(y + share * float(p00 * y + p01 * v - y))
+        one = np.array([1.0])
+        with np.errstate(all="ignore"):  # as the bulk settle runs it
+            root = _kernels._event_times(_kernels._branches(alpha * one, w2), w2,
+                                         offset * one, y * one, v * one, dt * one)[0]
+        for args in [(alpha, offset, y, v, dt), tuple(map(np.float64, (alpha, offset, y, v, dt)))]:
+            got = _kernels._event_time(args[0], w2, *args[1:])
+            assert type(got) is float and got == root
 
     @pytest.mark.parametrize("use_raw_peak", [False, True])
     def test_small_budget_settles_in_batches(self, monkeypatch, use_raw_peak):
