@@ -45,7 +45,6 @@ from .identify import (
     mse_loss,
 )
 from .sensor import (
-    FilterSpec,
     SignalTrace,
     filtered_peak,
     filtered_series,
@@ -62,7 +61,6 @@ __all__ = [
     "DomainError",
     "DropScenario",
     "EnergyBreakdown",
-    "FilterSpec",
     "FitResult",
     "FitSetup",
     "ImpactParams",

@@ -50,8 +50,9 @@ ROW_BLOCK = 8
 # calls of at least this many contacts without `keep` settle the contacts
 # that end in bulk, batch by batch: one array event solve and one batched
 # filter, where a smaller call solves and filters each contact as it ends.
-# The two break even here on the reference frame (2 CPUs, numpy 2.4): bulk
-# took 2 % longer on 15 contacts and 3 % less on 18
+# On the reference frame (2 CPUs, numpy 2.4) a whole call breaks even at
+# ~21-24 contacts, within 1 % from 18 to 24, and the array event solve
+# against scalar solves at ~32 events; no fit call has a size in between
 BULK_CONTACTS = 16
 
 # samples of ended contacts that a bulk call holds before it settles them,

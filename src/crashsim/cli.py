@@ -47,7 +47,7 @@ from .identify import (
     estimate_stiffness,
     fit_damping,
 )
-from .sensor import FilterSpec, filtered_series
+from .sensor import filtered_series
 
 REFERENCE_MASS = 0.241
 REFERENCE_DAMPING = 46.0
@@ -181,8 +181,8 @@ def cmd_simulate(args) -> int:
     params = _params(args)
     scenario = _scenario(args, args.altitude_cm / 100.0)
     traj = simulate_contact(params, scenario, max_time=args.max_time)
-    filtered = filtered_series(traj, FilterSpec.from_scenario(scenario), params.gravity)
-    peaks = peak_acceleration(traj, params.gravity)
+    filtered = filtered_series(traj, scenario.sensor_cutoff)
+    peaks = peak_acceleration(traj)
 
     out = _out_dir(args)
     io.write_trajectory_csv(out / "trajectory.csv", traj, filtered)
@@ -283,19 +283,17 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     observations = []
     for h, peak in zip(altitudes, peaks[0].tolist()):
-        scenario = _scenario(args, h)
-        alt_cm = h * 100.0
+        alt_cm = io.fmt(h * 100.0)  # the 12 digits of the peaks.csv column
         for rep in range(args.repeats):
             noisy = peak * (1.0 + args.noise * rng.standard_normal()) if args.noise else peak
             observations.append(PeakObservation(
                 drop_altitude=h, measured_peak=noisy,
-                label=f"synth_h{alt_cm:g}cm_r{rep}",
+                label=f"synth_h{alt_cm}cm_r{rep}",
             ))
         if args.write_traces:
-            traj = simulate_contact(params, scenario)
-            filtered = filtered_series(traj, FilterSpec.from_scenario(scenario),
-                                       params.gravity)
-            io.write_trajectory_csv(out / f"trace_{alt_cm:g}cm.csv", traj, filtered)
+            traj = simulate_contact(params, _scenario(args, h))
+            filtered = filtered_series(traj, args.cutoff_hz)
+            io.write_trajectory_csv(out / f"trace_{alt_cm}cm.csv", traj, filtered)
 
     io.write_peaks_csv(out / "peaks.csv", observations, unit=args.unit)
     print(f"synth: wrote {len(observations)} observations "

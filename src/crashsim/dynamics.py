@@ -43,7 +43,9 @@ memoised, so the drops of one frame compute Q(period) once.
 
 Sign conventions for acceleration follow x: positive a points downward. An
 ideal accelerometer measures specific force |a - g|: zero in free fall, 1 g
-at rest.
+at rest. A Trajectory carries its sample rate and the gravity that forced
+it, so peak_acceleration reads it alone and the sensor's readers need only
+a cutoff.
 """
 
 from __future__ import annotations
@@ -155,6 +157,8 @@ class Trajectory:
     damper energy [J], the exact dissipation summed over the sample steps.
     When the run ended in an event, the final sample sits at the located
     event time and is spaced closer than 1/sample_rate from its predecessor.
+    gravity [m/s²] is the g that forced the contact, against which an
+    accelerometer reads |a - g|.
     """
 
     time: np.ndarray
@@ -165,6 +169,7 @@ class Trajectory:
     termination: Termination
     impact_velocity: float
     sample_rate: float
+    gravity: float
 
     def __len__(self) -> int:
         return self.time.shape[0]
@@ -277,6 +282,7 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
         termination=termination,
         impact_velocity=v0,
         sample_rate=scenario.sample_rate,
+        gravity=params.gravity,
     )
 
 
@@ -357,11 +363,11 @@ def analytic_solution(params: ImpactParams, v0: float, t):
     return x, v, a
 
 
-def peak_acceleration(traj: Trajectory, gravity: float = STANDARD_GRAVITY) -> PeakAcceleration:
+def peak_acceleration(traj: Trajectory) -> PeakAcceleration:
     """Peak |a| and peak |a - g| (what an accelerometer registers) over a
-    trajectory [m/s²]."""
+    trajectory [m/s²], with the trajectory's g."""
     if len(traj) == 0:
         raise DomainError("trajectory is empty")
     raw = float(np.max(np.abs(traj.acceleration)))
-    proper = float(np.max(np.abs(traj.acceleration - gravity)))
+    proper = float(np.max(np.abs(traj.acceleration - traj.gravity)))
     return PeakAcceleration(raw=raw, proper=proper)

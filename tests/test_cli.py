@@ -106,6 +106,25 @@ class TestSimulate:
         assert "static sag" in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_other_gravity_summary_matches_trajectory(self, tmp_path):
+        g = 1.62
+        assert run_cli("--out-dir", tmp_path, "simulate", "--altitude-cm", "100",
+                       "--gravity", g) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        t, x, v, a, a_filtered = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                                            skiprows=1, unpack=True)
+        assert summary["termination"] == "rebound"
+        assert summary["impact_velocity"] == pytest.approx(math.sqrt(2.0 * g), rel=1e-14)
+        assert v[0] == pytest.approx(summary["impact_velocity"], rel=1e-11)
+        assert summary["x_max"] == pytest.approx(float(np.max(x)), rel=1e-11)
+        assert summary["raw_peak"] == pytest.approx(float(np.max(np.abs(a))), rel=1e-11)
+        proper = float(np.max(np.abs(a - g)))
+        assert summary["proper_peak"] == pytest.approx(proper, rel=1e-11)
+        assert proper != pytest.approx(float(np.max(np.abs(a - 9.81))), rel=1e-3)
+        assert summary["filtered_peak"] == pytest.approx(float(np.max(a_filtered)), rel=1e-11)
+        # the filter's warm start passes the first reading |a - g| through
+        assert a_filtered[0] == pytest.approx(abs(a[0] - g), rel=1e-11)
+
     def test_defaults_are_the_model_defaults(self):
         parser = cli.build_parser()
         args = parser.parse_args(["simulate", "--altitude-cm", "100"])
@@ -176,6 +195,16 @@ class TestSynth:
                        "--write-traces") == 0
         assert (tmp_path / "trace_50cm.csv").exists()
         assert (tmp_path / "trace_100cm.csv").exists()
+
+    def test_close_altitudes_keep_their_own_traces_and_labels(self, tmp_path):
+        # 6 significant digits would name both 123.457 cm, so one trace
+        # overwrote the other and two rows shared a label
+        assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm",
+                       "123.4567,123.4568", "--repeats", "1", "--write-traces") == 0
+        assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == [
+            "trace_123.4567cm.csv", "trace_123.4568cm.csv"]
+        labels = [o.label for o in io.read_peaks_csv(tmp_path / "peaks.csv")]
+        assert labels == ["synth_h123.4567cm_r0", "synth_h123.4568cm_r0"]
 
 
 class TestFit:

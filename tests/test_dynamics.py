@@ -278,9 +278,7 @@ class TestMonotonicity:
     def test_raw_peak_non_decreasing_in_altitude(self, reference_params):
         altitudes = np.linspace(0.1, 3.0, 25)
         peaks = [
-            peak_acceleration(
-                simulate_contact(reference_params, DropScenario(float(h))), 9.81
-            ).raw
+            peak_acceleration(simulate_contact(reference_params, DropScenario(float(h)))).raw
             for h in altitudes
         ]
         assert np.all(np.diff(peaks) >= -1e-9)
@@ -378,6 +376,7 @@ class TestPeakAcceleration:
             termination=Termination.MAX_TIME,
             impact_velocity=0.0,
             sample_rate=1000.0,
+            gravity=9.81,
         )
 
     def test_empty_trajectory_rejected(self):
@@ -385,24 +384,24 @@ class TestPeakAcceleration:
             time=np.empty(0), compression=np.empty(0), velocity=np.empty(0),
             acceleration=np.empty(0), damper_energy=np.empty(0),
             termination=Termination.MAX_TIME, impact_velocity=0.0,
-            sample_rate=1000.0,
+            sample_rate=1000.0, gravity=9.81,
         )
         with pytest.raises(DomainError):
-            peak_acceleration(empty, 9.81)
+            peak_acceleration(empty)
 
     def test_hover_reads_one_g(self):
-        peaks = peak_acceleration(self._constant_accel_trajectory(0.0), 9.81)
+        peaks = peak_acceleration(self._constant_accel_trajectory(0.0))
         assert peaks.raw == 0.0
         assert peaks.proper == pytest.approx(9.81)
 
     def test_free_fall_reads_zero(self):
-        peaks = peak_acceleration(self._constant_accel_trajectory(9.81), 9.81)
+        peaks = peak_acceleration(self._constant_accel_trajectory(9.81))
         assert peaks.proper == 0.0
         assert peaks.raw == pytest.approx(9.81)
 
     def test_reference_drop_peaks_match_oracle(self, reference_params, make_scenario):
         traj = simulate_contact(reference_params, make_scenario(0.5))
-        peaks = peak_acceleration(traj, 9.81)
+        peaks = peak_acceleration(traj)
         # dense-sampled closed-form oracle, frozen at module top
         assert peaks.raw == pytest.approx(PEAK_RAW_050CM, rel=1e-9)
         assert peaks.proper == pytest.approx(PEAK_PROPER_050CM, rel=1e-9)

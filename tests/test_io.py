@@ -14,7 +14,6 @@ from crashsim import (
     ConfigurationError,
     DomainError,
     DropScenario,
-    FilterSpec,
     PeakObservation,
     StaticDeflectionSample,
     filtered_series,
@@ -43,7 +42,7 @@ def assert_same_text(text: str, expected: str) -> None:
 
 def make_trajectory(columns) -> Trajectory:
     t, x, v, a = columns[:4]
-    return Trajectory(t, x, v, a, np.zeros(len(t)), Termination.REBOUND, 1.0, 1.0)
+    return Trajectory(t, x, v, a, np.zeros(len(t)), Termination.REBOUND, 1.0, 1.0, 9.81)
 
 
 class TestPeaksCsv:
@@ -200,7 +199,7 @@ class TestTrajectoryAndEnergyCsv:
     def test_trajectory_columns_and_rows(self, tmp_path, reference_params):
         scenario = DropScenario(0.5)
         traj = simulate_contact(reference_params, scenario)
-        filtered = filtered_series(traj, FilterSpec.from_scenario(scenario), 9.81)
+        filtered = filtered_series(traj, scenario.sensor_cutoff)
         path = tmp_path / "trajectory.csv"
         io.write_trajectory_csv(path, traj, filtered)
         lines = path.read_text().splitlines()
@@ -242,7 +241,7 @@ class TestBlockWriter:
         scenario = DropScenario(0.2, sample_rate=100_000.0)
         traj = simulate_contact(params, scenario)
         assert len(traj) == 100_001
-        filtered = filtered_series(traj, FilterSpec.from_scenario(scenario), 9.81)
+        filtered = filtered_series(traj, scenario.sensor_cutoff)
         path = tmp_path / "trajectory.csv"
         io.write_trajectory_csv(path, traj, filtered)
         columns = (traj.time, traj.compression, traj.velocity, traj.acceleration, filtered)

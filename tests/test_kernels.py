@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 
 from crashsim import (
     DropScenario,
-    FilterSpec,
     ImpactParams,
     NumericalError,
     Termination,
@@ -262,7 +261,7 @@ class TestStopFiltersOnce:
         peaks, terminations = drop_peaks(params, scenario, [params.damping], [1.0])
         assert passes == [_kernels.CHUNK_STEPS + 1]
         assert terminations[0, 0] is full.termination is Termination.MAX_TIME
-        assert peaks[0, 0] == filtered_peak(full, FilterSpec.from_scenario(scenario), 9.81)
+        assert peaks[0, 0] == filtered_peak(full, scenario.sensor_cutoff)
 
 
 def free_motion(alpha, w2, y, v, t):
@@ -366,9 +365,8 @@ def full_trajectory_outcome(params, scenario, use_raw_peak):
     """Peak and termination read from the whole simulated trajectory."""
     traj = simulate_contact(params, scenario)
     if use_raw_peak:
-        return peak_acceleration(traj, params.gravity).raw, traj.termination
-    return (filtered_peak(traj, FilterSpec.from_scenario(scenario), params.gravity),
-            traj.termination)
+        return peak_acceleration(traj).raw, traj.termination
+    return filtered_peak(traj, scenario.sensor_cutoff), traj.termination
 
 
 class TestBatchedPeaksMatchTrajectories:
