@@ -151,7 +151,8 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
     stops when its interval no longer shrinks, as happens once `tolerance`
     falls below the float spacing of the cell. The bracket endpoints are
     also evaluated so the returned loss never exceeds either. The result is
-    the first least-loss damping evaluated. Deterministic for fixed inputs.
+    the first least-loss damping evaluated; if even that loss overflows to
+    inf, NumericalError is raised. Deterministic for fixed inputs.
     The default bracket is (0, 5*c_crit]; an end given as None takes its
     default.
     """
@@ -198,6 +199,9 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
             f2 = evaluate(x2)[0]
 
     damping, loss = min(record, key=lambda entry: entry[1])
+    if not math.isfinite(loss):  # every loss ties at inf: no damping is preferred
+        raise NumericalError("the squared peak error overflows at every damping evaluated; "
+                             "the measured peaks are too large to fit")
     margin = 2.0 * max(tolerance, eps)
     at_boundary = (damping - c_low) <= margin or (c_high - damping) <= margin
     return FitResult(damping=damping, loss=loss, evaluations=len(record),

@@ -510,6 +510,9 @@ def fit_inputs(tmp_path_factory):
     assert main(["--out-dir", str(base), "synth", "--altitudes-cm", "50,100,150",
                  "--repeats", "2"]) == 0
     (base / "statics.csv").write_text("force_n,deflection_m\n7.04,0.001\n35.2,0.005\n")
+    # peaks whose squared error overflows at every damping
+    (base / "overflow_peaks.csv").write_text("altitude_cm,peak_ms2,label\n50,1e200,a\n"
+                                             "100,2e200,b\n")
     return base
 
 
@@ -623,10 +626,13 @@ class TestExtremeOptions:
         (("simulate", "--altitude-cm", "2.2250738585072014e-308", "--mass", "1e6",
           "--gravity", "1e-300", "--stiffness", "1.7976931348623157e308"), 0, None),
         (("simulate", "--altitude-cm", "1e300"), 3, "not resolved"),
+        (("fit", "--peaks", "overflow_peaks.csv", "--stiffness", "7040"), 3,
+         "squared peak error overflows"),
     ])
     def test_found_cases(self, fit_inputs, capsys, argv, code, message):
-        if argv[0] == "fit":
-            argv = ("fit", "--peaks", fit_inputs / "peaks.csv", *argv[1:])
+        if argv[0] == "fit" and "--peaks" not in argv:
+            argv = ("fit", "--peaks", "peaks.csv", *argv[1:])
+        argv = [fit_inputs / arg if str(arg).endswith(".csv") else arg for arg in argv]
         assert run_checked(argv) == code
         if message is not None:
             assert message in capsys.readouterr().err

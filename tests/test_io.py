@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from crashsim import (
     simulate_contact,
 )
 from crashsim import io
+from crashsim._render import render_floats
 from crashsim.dynamics import Termination, Trajectory
 from crashsim.energy import energy_distribution_curve
 
@@ -226,8 +228,9 @@ class TestBlockWriter:
     """The block writer renders byte for byte what one `format(v, ".12g")`
     per value rendered."""
 
-    @pytest.mark.parametrize("rows", [1, io.BLOCK_ROWS - 1, io.BLOCK_ROWS,
-                                      io.BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, io.RENDER_MIN_ROWS - 1, io.RENDER_MIN_ROWS,
+                                      4 * io.BLOCK_ROWS - 1, 4 * io.BLOCK_ROWS,
+                                      4 * io.BLOCK_ROWS + 1])
     def test_identity_at_block_edges(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
@@ -288,7 +291,56 @@ class TestBlockWriter:
         assert list(tmp_path.iterdir()) == [path]
 
 
+def percent_rendered(block: np.ndarray) -> str:
+    """Oracle: one `%` of a "%.12g" row template, the renderer's yardstick."""
+    return ("%.12g," * 4 + "%.12g\n") * len(block) % tuple(block.ravel().tolist())
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def neighbours(value: float) -> list[float]:
+    return [np.nextafter(value, -math.inf), value, np.nextafter(value, math.inf)]
+
+
+class TestFloatRenderer:
+    """render_floats gives the bytes `%` gives, value for value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.integers(0, 2**64 - 1).map(from_bits) | st.floats()] * 5),
+                         min_size=1, max_size=20))
+    def test_matches_percent_on_any_float(self, rows):
+        block = np.array(rows, dtype=float)
+        assert render_floats(block) == percent_rendered(block)
+
+    def test_matches_percent_at_decade_edges_ties_and_exponent_limits(self):
+        values = [v for k in range(-6, 23) for v in neighbours(float("1e%d" % k))]
+        values += [0.5, 1.0000000000005, 999999999999.5, 9.9999999999995e-5]  # 13th digit 5
+        # 12 digits round up into the next decade
+        values += [9.999999999996e-5, 0.9999999999996, 999999999999.6, 9.9999999999996e21]
+        values += [v for k in (-100, -99, 99, 100) for v in neighbours(float("1e%d" % k))]
+        values += [1.19862737409e-100, 0.0]
+        values += [-v for v in values]
+        block = np.array(values + [0.0] * (-len(values) % 5)).reshape(-1, 5)
+        assert render_floats(block) == percent_rendered(block)
+
+
 class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
+        old_umask = os.umask(umask)
+        try:
+            with open(tmp_path / "opened.txt", "w"):
+                pass
+            io.write_json(tmp_path / "summary.json", {})
+            io.write_statics_csv(tmp_path / "statics.csv", [StaticDeflectionSample(1.0, 0.1)])
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "opened.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+        for name in ("summary.json", "statics.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
     def test_overwrites_existing_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old")
