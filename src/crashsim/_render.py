@@ -1,6 +1,6 @@
 """The numpy renderer of long float CSV blocks: `render_floats(block)` gives
 the bytes one `%` of a `"%.12g,…,%.12g\n"` row template gives, and gives
-them faster on blocks of more than 128 rows (2-3 times on 1024 rows; see
+them faster on blocks of 128 rows or more (1.5-2.3 times on 1024 rows; see
 `io.RENDER_MIN_ROWS`). `crashsim.io` imports it when it first writes such a
 block.
 """

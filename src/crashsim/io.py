@@ -5,14 +5,14 @@ written with 12 significant digits so write-then-read is an identity at that
 precision. Every CSV goes through one writer, which renders BLOCK_ROWS rows
 at a time and streams each block to the file, so no more than one block's
 text is held in memory. A block of RENDER_MIN_ROWS or more rows of floats
-(a long trajectory) is rendered by `_render.render_floats`, a numpy renderer
-that gives the bytes `"%.12g" %` gives; a shorter block, or one holding
-labels, goes through one `%` of a repeated row template. Writes are atomic (temp
-file in the target directory, created with the mode `open` would give, then
-renamed). Peaks files store m/s² in a ``peak_ms2`` column; a ``peak_g``
-column (1 g = 9.80665 m/s²) is accepted on read and written when requested.
-Labels holding a comma, a quote or a line break are quoted as the csv module
-quotes them.
+(a long trajectory) is rendered by `_render.render_floats`, a numpy
+renderer that gives the bytes `"%.12g" %` gives; a shorter block, or one
+holding labels, goes through one `%` of a repeated row template. Writes are
+atomic (temp file in the target directory, created with the mode `open`
+would give, then renamed). Peaks files store m/s² in a ``peak_ms2`` column;
+a ``peak_g`` column (1 g = 9.80665 m/s²) is accepted on read and written
+when requested. Labels holding a comma, a quote or a line break are quoted
+as the csv module quotes them.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ _FLOAT = "%.12g"
 # 512-4096 rows, 1024 writes a 100 kHz trace fastest
 BLOCK_ROWS = 1024
 # render_floats costs ~0.1 ms a block whatever its size, `%` ~0.4 us a
-# value. On 5 float columns they break even at 128 rows (median CPU time:
-# 10 rows 0.12 ms against 0.02 ms, 128 rows 0.24 against 0.24 ms, 1024 rows
-# 0.92 against 2.1 ms; 2 CPUs, Python 3.11, numpy 2.4), so shorter blocks
-# keep `%`
+# value. On 5 float columns they break even at 64-128 rows (median CPU
+# time: 10 rows 0.12 ms against 0.02 ms, 64 rows 0.16 against 0.13 ms,
+# 128 rows 0.22-0.24 against 0.24-0.28 ms, 1024 rows 0.9-1.6 against
+# 2.1-2.4 ms; 2 CPUs, Python 3.11, numpy 2.4), so shorter blocks keep `%`
 RENDER_MIN_ROWS = 128
 
 
@@ -65,7 +65,9 @@ def _atomic_open(path: Path):
     the block exits cleanly and removed when it raises. The temp file gets
     the mode `open(path, "w")` gives a new file, 0o666 less the umask."""
     path = Path(path)
-    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    # a str, not a Path: pathlib interns each part, and a fresh name per
+    # write raised peak RSS ~0.6 MB over 3 200 `energy` ops
+    tmp_name = os.path.join(path.parent, f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
