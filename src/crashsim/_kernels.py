@@ -17,13 +17,13 @@ damper_gram takes Q from Van Loan's block exponential ("Computing integrals
 involving the matrix exponential", IEEE TAC 1978), never from the energy
 balance, so a caller sums it over the sampled states.
 
-A call of many contacts without samples settles the contacts that end in
-bulk: one Newton solve over an array of their events (_event_times, which
-replays _event_time element for element) and one filter pass over blocks
-of their readings, a segmented doubling scan (Blelloch, "Prefix sums and
-their applications", 1990). Each contact gets what it gets alone, bit for
-bit, as long as numpy's exp, cos, sin and expm1 give an array element the
-bits they give the value alone.
+A call without samples settles the contacts that end in batches. A large
+batch takes one Newton solve over the array of its events (_event_times,
+which replays _event_time element for element) and one filter pass over
+blocks of its readings, a segmented doubling scan (Blelloch, "Prefix sums
+and their applications", 1990). Each contact gets what it gets alone, bit
+for bit, as long as numpy's exp, cos, sin and expm1 give an array element
+the bits they give the value alone.
 """
 
 from __future__ import annotations
@@ -47,16 +47,15 @@ CHUNK_STEPS = 512
 # pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is
 ROW_BLOCK = 8
 
-# calls of at least this many contacts without `keep` settle the contacts
-# that end in bulk, batch by batch: one array event solve and one batched
-# filter, where a smaller call solves and filters each contact as it ends.
-# On the reference frame (2 CPUs, numpy 2.4) a whole call breaks even at
-# ~21-24 contacts, within 1 % from 18 to 24, and the array event solve
-# against scalar solves at ~32 events; no fit call has a size in between
-BULK_CONTACTS = 16
+# a settle batch of at least this many ended contacts solves their events as
+# one array (_event_times) and filters their records as blocks; a smaller one
+# solves and filters each alone. On the reference frame (2 CPUs, numpy 2.4)
+# the two break even at 30-48 contacts (array/scalar call time 1.42 at 12,
+# 1.05 at 30, 0.95 at 48), and the fit's grid call is flat from 32 to 48
+ARRAY_SETTLE = 32
 
-# samples of ended contacts that a bulk call holds before it settles them,
-# in one 128 KB buffer, so its memory stays bounded whatever B x A is
+# samples of ended contacts that a call holds before it settles them, in
+# one 128 KB buffer, so its memory stays bounded whatever B x A is
 SETTLE_SAMPLES = 4 * ROW_BLOCK * CHUNK_STEPS
 
 # relative slack on the stop rule's bounds, far above the rounding of the
@@ -264,14 +263,6 @@ def _event_times(branches, w2, offset, y0, y1, dt):
     return tau
 
 
-def _unresolved(t_step, miss, wall):
-    """The error for an event that its solve left `miss` from its wall."""
-    return NumericalError(
-        f"the event in the step at t = {t_step:.6g} s is not "
-        f"resolved: located {abs(miss):.3g} m from its wall at {wall:g} m",
-        time=float(t_step))
-
-
 def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                        period, max_records, cutoff=None, keep=False, stop_when_final=False):
     """Exact propagation of m*x'' + c*x' + k*x = m*g for every contact
@@ -326,17 +317,16 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     inputs at most the bound, so it stays below the peak. For k > 1 the
     filter can overshoot its inputs and contacts stop only at events.
 
-    A contact without `keep` that ends, at an event or at the horizon, is
-    solved and filtered at once in a call of fewer than BULK_CONTACTS
-    contacts. A larger call holds its readings, in one buffer of
-    SETTLE_SAMPLES, and its unsolved event. When the buffer is full, and at
-    the end, it settles all it holds: one solve over the array of events
-    (one by one below BULK_CONTACTS events, where the array solve costs
-    more), one pass for their last states and readings, and lowpass over
-    blocks of the records, one record per row on its own last step, grouped
+    A contact without `keep` that ends, at an event or at the horizon, leaves
+    its readings, in one buffer of SETTLE_SAMPLES, and its unsolved event.
+    When the buffer is full, and at the end, the call settles the batch it
+    holds. A batch of fewer than ARRAY_SETTLE contacts solves each event
+    with _event_time and filters each record alone. A larger one solves the
+    array of events, takes their last states and readings in one pass, and
+    filters blocks of the records, one per row on its own last step, grouped
     by the power of two that bounds their length. Peaks, terminations and
-    the unresolved-event error are the per-contact ones bit for bit; the
-    error names the first unresolved event in the order the contacts ended.
+    the unresolved-event error are each contact's own bit for bit; the error
+    names the first unresolved event in the order the contacts ended.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -352,7 +342,6 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     filtered = cutoff is not None
     k_mid = prewarped_gain(cutoff, period) if filtered else None
     stops = stop_when_final if keep else not filtered or k_mid <= 1.0
-    bulk = not keep and peaks.size >= BULK_CONTACTS
     shift = gravity if filtered else 0.0  # the sensor reads |a - g|, raw |a|
     slack = 1.0 + STOP_SLACK
 
@@ -372,31 +361,48 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     parts = [[] for _ in range(slots)]
     table, table_b = None, None
     pending = iter(range(peaks.size))
-    # in bulk, ended contacts as [row, code, readings, k_last], their unsolved
-    # events as (index in ended, damping, wall, y, v, span, t_before), and
-    # the samples they hold, in store
+    # without keep, ended contacts as [row, code, readings, k_last], their
+    # unsolved events as (index in ended, damping, wall, y, v, span, t_before),
+    # and the samples they hold, in store
     ended, events, held = [], [], 0
-    store = np.empty(SETTLE_SAMPLES) if bulk else None
+    store = None if keep else np.empty(SETTLE_SAMPLES)
 
     def settle(s, code, value):
         codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, value
         row_of[s] = None
 
-    def peak(s, k_last, bound):
-        """Slot s's peak, or None while it is at most bound."""
-        if top[s] <= bound:
-            return None
-        trace = np.concatenate(parts[s])
+    def peak(trace, k_last, bound=-math.inf):
+        """The largest |reading| of a record, filtered when a cutoff is set,
+        or None while it is at most bound."""
         value = float((np.abs(lowpass(trace, k_mid, k_last)) if filtered else trace).max())
         return None if value <= bound else value
 
+    def solve_event(c, wall, y0, y1, span, t_step):
+        """(tau, x, v) at the event in the step of span from (y0, y1) at
+        t_step, for damping c; raises NumericalError when it is unresolved."""
+        alpha, offset = 0.5 * c / mass, x_eq - wall
+        tau = _event_time(alpha, w2, offset, y0, y1, span)
+        f00, f01, f10, f11 = _transition(alpha, w2, tau)
+        # a solve ends this far from the wall only when its bracket closed first
+        miss = offset + f00 * y0 + f01 * y1
+        if abs(miss) > STOP_SLACK * (abs(offset) + abs(y0)):
+            raise NumericalError(
+                f"the event in the step at t = {t_step:.6g} s is not "
+                f"resolved: located {abs(miss):.3g} m from its wall at {wall:g} m",
+                time=float(t_step))
+        return tau, x_eq + f00 * y0 + f01 * y1, f10 * y0 + f11 * y1
+
     def finish(s, code, t_before, t_end, event=None):
         """Settle slot s at its last sample, taken at t_end; t_before is the
-        time of the sample before it. In bulk the slot's readings go to
-        settle_ended, with its event (damping, wall, y, v, span) still to
-        solve when there is one: then t_end is None."""
+        time of the sample before it. With an event (damping, wall, y, v,
+        span) still to solve, t_end is None. Without keep the slot's readings
+        go to settle_ended, with its event."""
         nonlocal held
         if keep:
+            if event is not None:
+                tau, x_ev, v_ev = solve_event(*event, t_before)
+                parts[s].append(([x_ev], [v_ev]))
+                t_end = t_before + tau
             x, v = (np.concatenate(c) for c in zip(*parts[s]))
             parts[s] = []  # drop the chunk views before the temporaries
             t = period * np.arange(x.size)
@@ -406,13 +412,13 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         k_last = None
         if filtered and event is None:
             k_last = prewarped_gain(cutoff, float(t_end - t_before))
-        if not bulk:
-            return settle(s, code, peak(s, k_last, -math.inf))
         if event is not None:  # the last reading, the event's, comes from its solve
             parts[s].append([math.nan])
         size = sum(map(len, parts[s]))
         if held + size > SETTLE_SAMPLES:
             settle_ended()
+            del ended[:], events[:]
+            held = 0
         # records share one buffer: held apart, they fragment the heap
         record = store[held:held + size] if size <= SETTLE_SAMPLES else np.empty(size)
         if event is not None:
@@ -422,27 +428,31 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         held += size
 
     def settle_ended():
-        """Settle the ended contacts: one array solve for their events, then
-        their readings filtered as blocks of traces of like length."""
-        nonlocal held
+        """Settle the ended contacts: solve their events, then filter their
+        readings, one by one in a batch of fewer than ARRAY_SETTLE, else as
+        one array of events and blocks of traces of like length."""
+        if len(ended) < ARRAY_SETTLE:
+            for i, c, wall, y0, y1, span, t_before in events:
+                tau, x_ev, v_ev = solve_event(c, wall, y0, y1, span, t_before)
+                ended[i][2][-1] = abs(accel(c, x_ev, v_ev) - shift)
+                if filtered:
+                    ended[i][3] = prewarped_gain(cutoff, (t_before + tau) - t_before)
+            for row, code, trace, k_last in ended:
+                codes.flat[row], peaks.flat[row] = code, peak(trace, k_last)
+            return
         if events:
             at, c, wall, y0, y1, span, t_before = (np.array(e) for e in zip(*events))
             alpha, offset = 0.5 * c / mass, x_eq - wall
             # warnings off: solving contact by contact stops at the first
-            # unresolved event, which the check below reports as that does
+            # unresolved event, whose scalar solve raises its error here
             with np.errstate(all="ignore"):
                 branches = _branches(alpha, w2)
-                if alpha.size >= BULK_CONTACTS:
-                    tau = _event_times(branches, w2, offset, y0, y1, span)
-                else:  # too few for the array solve to pay
-                    tau = np.array([_event_time(a, w2, *state)
-                                    for a, *state in zip(alpha, offset, y0, y1, span)])
+                tau = _event_times(branches, w2, offset, y0, y1, span)
                 f00, f01, f10, f11 = _transitions(branches, w2, tau)
                 miss = offset + f00 * y0 + f01 * y1
-            unresolved = np.abs(miss) > STOP_SLACK * (np.abs(offset) + np.abs(y0))
-            if unresolved.any():
-                i = int(unresolved.argmax())
-                raise _unresolved(t_before[i], miss[i], wall[i])
+                unresolved = np.abs(miss) > STOP_SLACK * (np.abs(offset) + np.abs(y0))
+                if unresolved.any():
+                    solve_event(*events[int(unresolved.argmax())][1:])
             x_ev = x_eq + f00 * y0 + f01 * y1
             v_ev = f10 * y0 + f11 * y1
             readings = np.abs(accel(c, x_ev, v_ev) - shift).tolist()
@@ -473,9 +483,6 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                     block[np.arange(block.shape[1]) >= lengths[:, None]] = 0.0
             rows = [ended[i][0] for i in group]
             peaks.flat[rows], codes.flat[rows] = block.max(axis=1), [ended[i][1] for i in group]
-        ended.clear()
-        events.clear()
-        held = 0
 
     while True:
         for s in range(slots):
@@ -545,22 +552,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             if j < length:  # the event step starts from state j
                 wall = clearance if collided else 0.0
                 code, t_step = TERM_COLLISION if collided else TERM_REBOUND, (done[s] + j) * period
-                if bulk:
-                    finish(s, code, t_step, None, (damping[s], wall, y[s, j], v[s, j], span))
-                    continue
-                tau = _event_time(alpha, w2, x_eq - wall, y[s, j], v[s, j], span)
-                f00, f01, f10, f11 = _transition(alpha, w2, tau)
-                # a solve ends this far from the wall only when its bracket closed first
-                miss = (x_eq - wall) + f00 * y[s, j] + f01 * v[s, j]
-                if abs(miss) > STOP_SLACK * (abs(x_eq - wall) + abs(y[s, j])):
-                    raise _unresolved(t_step, miss, wall)
-                x_ev = x_eq + f00 * y[s, j] + f01 * v[s, j]
-                v_ev = f10 * y[s, j] + f11 * v[s, j]
-                if keep:
-                    parts[s].append(([x_ev], [v_ev]))
-                else:
-                    parts[s].append([abs(accel(damping[s], x_ev, v_ev) - shift)])
-                finish(s, code, t_step, t_step + tau)
+                finish(s, code, t_step, None, (damping[s], wall, y[s, j], v[s, j], span))
                 continue
             if done[s] + length == max_records:
                 finish(s, TERM_MAX_TIME, period * (max_records - 1), period * max_records)
@@ -580,10 +572,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 continue
             energy2 = ve[s] * ve[s] + w2 * ye[s] * ye[s]
             bound = slack * (shift + math.sqrt(energy2) * (w + damping[s] / mass))
-            if (value := peak(s, k_mid, bound)) is not None:
+            value = peak(np.concatenate(parts[s]), k_mid, bound) if top[s] > bound else None
+            if value is not None:
                 settle(s, TERM_MAX_TIME, value)
-    if ended:
-        settle_ended()
+    settle_ended()
     return peaks, codes, kept
 
 

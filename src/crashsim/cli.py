@@ -280,20 +280,26 @@ def cmd_synth(args) -> int:
     peaks, _ = drop_peaks(params, _scenario(args, 0.0), [params.damping], altitudes,
                           args.raw_peaks)
 
-    out = _out_dir(args)
     observations = []
     for h, peak in zip(altitudes, peaks[0].tolist()):
         alt_cm = io.fmt(h * 100.0)  # the 12 digits of the peaks.csv column
         for rep in range(args.repeats):
             noisy = peak * (1.0 + args.noise * rng.standard_normal()) if args.noise else peak
+            if not 0.0 < noisy < math.inf:  # a noiseless peak is > 0 and finite
+                raise ConfigurationError(
+                    f"--noise {args.noise:g} drew a peak of {noisy!r} m/s² at {alt_cm} cm, "
+                    f"repeat {rep}; peaks must be > 0 and finite")
             observations.append(PeakObservation(
                 drop_altitude=h, measured_peak=noisy,
                 label=f"synth_h{alt_cm}cm_r{rep}",
             ))
-        if args.write_traces:
+
+    out = _out_dir(args)  # made once every draw is good
+    if args.write_traces:
+        for h in altitudes:
             traj = simulate_contact(params, _scenario(args, h))
             filtered = filtered_series(traj, args.cutoff_hz)
-            io.write_trajectory_csv(out / f"trace_{alt_cm}cm.csv", traj, filtered)
+            io.write_trajectory_csv(out / f"trace_{io.fmt(h * 100.0)}cm.csv", traj, filtered)
 
     io.write_peaks_csv(out / "peaks.csv", observations, unit=args.unit)
     print(f"synth: wrote {len(observations)} observations "

@@ -32,10 +32,10 @@ simulate_impact keeps the samples of one contact; drop_peaks keeps only the
 peak acceleration and the termination of many, and stops each contact as
 soon as neither can change any more, so both read the same samples (as
 simulate_impact does, with stop_when_final, for its largest compression).
-A drop_peaks call of at least _kernels.BULK_CONTACTS drops, such as the
-fit's grid scan, settles the contacts that end in bulk, with one array
-event solve and one batched filter per batch instead of one of each per
-contact; the results are the same bit for bit.
+drop_peaks settles the contacts that end in batches; a batch of at least
+_kernels.ARRAY_SETTLE drops, as in the fit's grid scan, takes one array
+event solve and one batched filter instead of one of each per contact; the
+results are the same bit for bit.
 The accumulated damper energy (integral of c*x'^2) is not propagated:
 simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
 the recorded states, independently of the energy balance; damper_gram is
@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NumericalError, UnsupportedRegimeError
+from .errors import ConfigurationError, DomainError, NumericalError, UnsupportedRegimeError
 
 STANDARD_GRAVITY = 9.81
 
@@ -72,6 +72,16 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _check_cutoff(what: str, sample_rate: float, cutoff: float) -> None:
+    """Refuse a low-pass cutoff [Hz] that is not finite and > 0, or not below
+    half the sample rate [Hz] of `what`: a configuration mismatch."""
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise ConfigurationError(f"cutoff must be > 0, got {cutoff}")
+    if not sample_rate > 2.0 * cutoff:
+        raise ConfigurationError(f"{what} sample rate {sample_rate} Hz must exceed "
+                                 f"twice the cutoff ({2.0 * cutoff} Hz)")
 
 
 @dataclass(frozen=True)
@@ -122,19 +132,14 @@ class DropScenario:
     sample_rate: float = 20000.0
 
     def __post_init__(self):
-        for name in ("drop_altitude", "clearance", "sensor_cutoff", "sample_rate"):
+        for name in ("drop_altitude", "clearance", "sample_rate"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.drop_altitude < 0.0:
             raise DomainError(f"drop_altitude must be >= 0, got {self.drop_altitude}")
         if not self.clearance > 0.0:
             raise DomainError(f"clearance must be > 0, got {self.clearance}")
-        if not self.sensor_cutoff > 0.0:
-            raise DomainError(f"sensor_cutoff must be > 0, got {self.sensor_cutoff}")
-        if not self.sample_rate > 2.0 * self.sensor_cutoff:
-            raise DomainError(
-                f"sample_rate must exceed twice the sensor cutoff "
-                f"({2.0 * self.sensor_cutoff} Hz), got {self.sample_rate}"
-            )
+        object.__setattr__(self, "sensor_cutoff", float(self.sensor_cutoff))
+        _check_cutoff("scenario", self.sample_rate, self.sensor_cutoff)
 
 
 class Termination(Enum):

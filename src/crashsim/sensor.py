@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _check_cutoff
 from .errors import ConfigurationError, DomainError
 
 
@@ -53,11 +53,7 @@ def _lowpass(what: str, sample_rate: float, values: np.ndarray, cutoff: float,
     """_kernels.lowpass of the samples of `what` at sample_rate through the
     low-pass at cutoff [Hz], which must be finite, > 0 and below half the
     sample rate; the final transition spans last_step [s], else one period."""
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ConfigurationError(f"cutoff must be > 0, got {cutoff}")
-    if not sample_rate > 2.0 * cutoff:
-        raise ConfigurationError(f"{what} sample rate {sample_rate} Hz must exceed "
-                                 f"twice the cutoff ({2.0 * cutoff} Hz)")
+    _check_cutoff(what, sample_rate, cutoff)
     if len(values) == 0:
         raise ConfigurationError(f"cannot filter an empty {what}")
     k_mid = _kernels.prewarped_gain(cutoff, 1.0 / sample_rate)

@@ -176,6 +176,16 @@ class TestSynth:
         assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "100",
                        "--noise", "-0.1") == 2
 
+    def test_noise_draw_past_zero_exit_2_names_it(self, tmp_path, capsys):
+        # seed 1 draws 1 + 0.5*z < 0 at the 50 cm drop's repeat 24
+        out = tmp_path / "sub"
+        assert run_cli("--out-dir", out, "--seed", "1", "synth", "--altitudes-cm", "50,100",
+                       "--repeats", "50", "--noise", "0.5") == 2
+        err = capsys.readouterr().err
+        assert "--noise 0.5 drew a peak of -" in err
+        assert "at 50 cm, repeat 24" in err
+        assert not out.exists()  # refused before any file is written
+
     def test_zero_repeats_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "synth", "--altitudes-cm", "100",
                        "--repeats", "0") == 2

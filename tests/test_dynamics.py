@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crashsim import (
+    ConfigurationError,
     DomainError,
     DropScenario,
     ImpactParams,
@@ -87,9 +88,13 @@ class TestParamValidation:
         dict(drop_altitude=1.0, clearance=0.0),
         dict(drop_altitude=1.0, sensor_cutoff=0.0),
         dict(drop_altitude=1.0, sensor_cutoff=500.0, sample_rate=1000.0),
+        dict(drop_altitude=1.0, sensor_cutoff=math.inf),
     ])
     def test_bad_scenario(self, kwargs):
-        with pytest.raises(DomainError):
+        # a cutoff at or past half the sample rate is a configuration mismatch,
+        # refused as the sensor's readers refuse it
+        error = ConfigurationError if "sensor_cutoff" in kwargs else DomainError
+        with pytest.raises(error):
             DropScenario(**kwargs)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestLowpassMatchesLoop:
                                    lowpass_loop(values, 0.0787, k_last),
                                    rtol=1e-12, atol=1e-12)
 
-    # the bulk settle filters the records of a call as columns of one block
+    # a large settle batch filters its records as columns of one block
     @settings(max_examples=40, deadline=None)
     @given(traces=st.lists(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=300),
                            min_size=1, max_size=8),
@@ -192,7 +193,7 @@ class TestLowpassMatchesLoop:
 class TestStopFiltersOnce:
     """A record is filtered only once its largest reading exceeds the stop's
     bound, so every contact is filtered once, at its stop or at its end,
-    alone or as one column of a bulk settle's block."""
+    alone or as one column of a large settle batch's block."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -226,17 +227,18 @@ class TestStopFiltersOnce:
         peaks, _ = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
         assert len(passes) == peaks.size == 198
 
-    # a bulk call filters the contacts that end, at events or at the
-    # horizon, as blocks, and each one that stops alone, on n*CHUNK_STEPS + 1
-    # readings after n chunks: every max_time contact of the grid stops at
-    # its first chunk boundary, as soon as its peak is final, though the
-    # frame is then still many x_eq deep
+    # a call settles the contacts that end, at events or at the horizon, in
+    # batches, each record ending on its own last step, and filters each one
+    # that stops alone over whole steps, on n*CHUNK_STEPS + 1 readings after
+    # n chunks: every max_time contact of the grid stops at its first chunk
+    # boundary, as soon as its peak is final, though the frame is then still
+    # many x_eq deep
     def test_reference_fit_grid_settles_after_one_chunk(self, passes, monkeypatch):
         stops = []
         lowpass = _kernels.lowpass
 
         def recording(values, k_mid, k_last, traces=None):
-            if traces is None:
+            if traces is None and k_last == k_mid:  # a stop's record, not an event's
                 stops.append(values.size)
             return lowpass(values, k_mid, k_last, traces)
 
@@ -447,9 +449,9 @@ class TestBatchedPeaksMatchTrajectories:
 
 
 class TestElementwiseMath:
-    """A bulk settle solves its events as arrays where a smaller call solves
-    each alone; they agree bit for bit only while numpy gives an element of
-    an array the bits it gives the same value alone."""
+    """A large settle batch solves its events as arrays where a small one
+    solves each alone; they agree bit for bit only while numpy gives an
+    element of an array the bits it gives the same value alone."""
 
     @pytest.mark.parametrize("function", [np.exp, np.cos, np.sin, np.expm1])
     @pytest.mark.parametrize("size", [1, 3, 8, 165])
@@ -463,13 +465,13 @@ class TestElementwiseMath:
                 alone = float(function(value))
                 assert np.float64(element).tobytes() == np.float64(alone).tobytes(), (
                     f"np.{function.__name__}({value!r}) is {alone!r} alone but {element!r} "
-                    f"in a {size}-element array: on this platform a bulk drop_peaks call "
-                    f"(B x A >= _kernels.BULK_CONTACTS) can differ in the last bits from "
-                    f"the same contacts simulated one by one")
+                    f"in a {size}-element array: on this platform a drop_peaks call whose "
+                    f"settle batches reach _kernels.ARRAY_SETTLE contacts can differ in the "
+                    f"last bits from the same contacts simulated one by one")
 
 
 def contact_by_contact(params, scenario, dampings, altitudes, use_raw_peak):
-    """drop_peaks of each (damping, altitude) alone, below the bulk size."""
+    """drop_peaks of each (damping, altitude) alone, a settle batch of one."""
     peaks = np.empty((len(dampings), len(altitudes)))
     terminations = np.empty(peaks.shape, dtype=object)
     for b, damping in enumerate(dampings):
@@ -479,14 +481,48 @@ def contact_by_contact(params, scenario, dampings, altitudes, use_raw_peak):
     return peaks, terminations
 
 
+class TestMassRelation:
+    """Scaling (m, c, k) by a power of two leaves alpha = c/(2m), w2 = k/m
+    and every reading a = g - (c*v + k*x)/m exact, so drop_peaks must give
+    the same peaks and terminations bit for bit (an oracle-free metamorphic
+    relation), in calls of B x A on either side of ARRAY_SETTLE."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(mass=st.floats(-1.5, 0.5).map(lambda e: 10.0 ** e),
+           stiffness=st.floats(3.0, 4.5).map(lambda e: 10.0 ** e),
+           zetas=st.lists(st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0])
+                          | st.floats(0.0, 8.0), min_size=1, max_size=3)
+           | st.lists(st.floats(0.0, 8.0), min_size=11, max_size=16),
+           altitudes=st.lists(st.just(0.0) | st.floats(-4.0, 1.3).map(lambda e: 10.0 ** e),
+                              min_size=3, max_size=3),
+           sample_rate=st.sampled_from([1500.0, 5000.0, 20000.0, 100000.0]),
+           stroke=st.sampled_from([0.003, 0.016, 0.05]),
+           j=st.integers(-30, 30).filter(bool),
+           use_raw_peak=st.booleans())
+    def test_mass_scaling_leaves_peaks_unchanged(self, mass, stiffness, zetas, altitudes,
+                                                 sample_rate, stroke, j, use_raw_peak):
+        scale = 2.0 ** j
+        crit = 2.0 * math.sqrt(stiffness * mass)
+        dampings = [zeta * crit for zeta in zetas]
+        scenario = DropScenario(0.0, clearance=stroke, sample_rate=sample_rate)
+        peaks, terminations = drop_peaks(ImpactParams(mass, 0.0, stiffness), scenario,
+                                         dampings, altitudes, use_raw_peak)
+        scaled_peaks, scaled_terminations = drop_peaks(
+            ImpactParams(scale * mass, 0.0, scale * stiffness), scenario,
+            [scale * c for c in dampings], altitudes, use_raw_peak)
+        np.testing.assert_array_equal(scaled_peaks, peaks)
+        assert (scaled_terminations == terminations).all()
+
+
 class TestBulkSettle:
-    """A call of at least BULK_CONTACTS contacts settles their events and
-    filters their records in bulk; it must give what each contact gives alone."""
+    """A settle batch of at least ARRAY_SETTLE ended contacts solves their
+    events as one array and filters their records as blocks; it must give
+    what each contact gives alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(mass=st.floats(0.03, 3.0),
            zetas=st.lists(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 8.0),
-                          min_size=6, max_size=8),
+                          min_size=11, max_size=14),
            stiffness=st.floats(100.0, 50000.0),
            stroke=st.floats(0.9, 20.0),
            altitudes=st.lists(st.just(0.0) | st.floats(-5.0, 1.3).map(lambda e: 10.0 ** e),
@@ -500,16 +536,21 @@ class TestBulkSettle:
         # strokes from just below the static deflection x_eq = m*g/k
         scenario = DropScenario(0.0, clearance=stroke * mass * 9.81 / stiffness,
                                 sample_rate=sample_rate)
-        assert len(dampings) * len(altitudes) >= _kernels.BULK_CONTACTS
-        peaks, terminations = drop_peaks(params, scenario, dampings, altitudes, use_raw_peak)
+        assert len(dampings) * len(altitudes) >= _kernels.ARRAY_SETTLE
         alone_peaks, alone_terminations = contact_by_contact(params, scenario, dampings,
                                                              altitudes, use_raw_peak)
-        np.testing.assert_array_equal(peaks, alone_peaks)
-        assert (terminations == alone_terminations).all()
+        # batches as they come, and every batch one of array work
+        for array_settle in (_kernels.ARRAY_SETTLE, 1):
+            with mock.patch.object(_kernels, "ARRAY_SETTLE", array_settle):
+                peaks, terminations = drop_peaks(params, scenario, dampings, altitudes,
+                                                 use_raw_peak)
+            np.testing.assert_array_equal(peaks, alone_peaks)
+            assert (terminations == alone_terminations).all()
 
     def test_event_times_are_the_scalar_solves(self, monkeypatch):
-        # every event a bulk call solves, including the unresolved ones of
-        # 1e297 m drops whose bracket closes first, against _event_time
+        # every event a large settle batch solves, including the unresolved
+        # ones of 1e297 m drops whose bracket closes first, against
+        # _event_time; each frame's 64 contacts make one array solve
         solved = []
         event_times = _kernels._event_times
 
@@ -518,7 +559,7 @@ class TestBulkSettle:
             return event_times(*args)
 
         monkeypatch.setattr(_kernels, "_event_times", recording)
-        dampings = [0.0, *np.geomspace(1e-3, 5.0 * C_CRIT, 7), C_CRIT]
+        dampings = [0.0, *np.geomspace(1e-3, 5.0 * C_CRIT, 14), C_CRIT]
         for altitudes, sample_rate in [([0.01, 0.5, 1.5, 20.0], 1500.0),
                                        ([0.001, 0.3, 2.0, 5.0], 100000.0),
                                        ([1.0, 1e297, 3e297, 1e298], 20000.0)]:
@@ -554,7 +595,7 @@ class TestBulkSettle:
         p00, p01, _, _ = _kernels._transition(alpha, w2, dt)
         offset = 0.0 if turning else -(y + share * float(p00 * y + p01 * v - y))
         one = np.array([1.0])
-        with np.errstate(all="ignore"):  # as the bulk settle runs it
+        with np.errstate(all="ignore"):  # as a large settle batch runs it
             root = _kernels._event_times(_kernels._branches(alpha * one, w2), w2,
                                          offset * one, y * one, v * one, dt * one)[0]
         for args in [(alpha, offset, y, v, dt), tuple(map(np.float64, (alpha, offset, y, v, dt)))]:
@@ -567,18 +608,20 @@ class TestBulkSettle:
         dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
         scenario = DropScenario(0.0)
         whole = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        settles = []
+        arrays = []  # the events of each array solve
         branches = _kernels._branches
 
         def counting(alpha, w2):
-            settles.append(alpha.size)
+            arrays.append(alpha.size)
             return branches(alpha, w2)
 
         monkeypatch.setattr(_kernels, "_branches", counting)
-        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 4 * _kernels.CHUNK_STEPS)
+        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 8 * _kernels.CHUNK_STEPS)
         batched = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        # batches of events both above and below the size the array solve needs
-        assert len(settles) >= 8 and min(settles) < _kernels.BULK_CONTACTS <= max(settles)
+        # batches on both sides of ARRAY_SETTLE: some events are solved as
+        # arrays, the rest one by one
+        events = np.isin(batched[1], [Termination.REBOUND, Termination.COLLISION]).sum()
+        assert len(arrays) >= 2 and 0 < sum(arrays) < events
         np.testing.assert_array_equal(batched[0], whole[0])
         assert (batched[1] == whole[1]).all()
 
@@ -589,9 +632,11 @@ class TestBulkSettle:
         dampings, altitudes = np.geomspace(1.0, 100.0, 6), [1.0, 1e298, 1e297]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # every batch solved as an array, then every event alone
+            monkeypatch.setattr(_kernels, "ARRAY_SETTLE", 1)
             with pytest.raises(NumericalError) as bulk:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
-            monkeypatch.setattr(_kernels, "BULK_CONTACTS", math.inf)
+            monkeypatch.setattr(_kernels, "ARRAY_SETTLE", math.inf)
             with pytest.raises(NumericalError) as inline:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
         assert "not resolved" in str(inline.value)
