@@ -17,13 +17,13 @@ damper_gram takes Q from Van Loan's block exponential ("Computing integrals
 involving the matrix exponential", IEEE TAC 1978), never from the energy
 balance, so a caller sums it over the sampled states.
 
-A call without samples settles the contacts that end in batches. A large
-batch takes one Newton solve over the array of its events (_event_times,
-which replays _event_time element for element) and one filter pass over
-blocks of its readings, a segmented doubling scan (Blelloch, "Prefix sums
-and their applications", 1990). Each contact gets what it gets alone, bit
-for bit, as long as numpy's exp, cos, sin and expm1 give an array element
-the bits they give the value alone.
+A call without samples settles the contacts that end in batches: one Newton
+solve per event, _event_time, and one reader of their records, which filters
+a large batch as the columns of blocks, a segmented doubling scan (Blelloch,
+"Prefix sums and their applications", 1990), and a small one record by
+record. The early stop reads its contacts with the same reader. Each contact
+gets what it gets alone, bit for bit: a column of a block sees the
+operations of its record alone.
 """
 
 from __future__ import annotations
@@ -47,20 +47,26 @@ CHUNK_STEPS = 512
 # pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is
 ROW_BLOCK = 8
 
-# a settle batch of at least this many ended contacts solves their events as
-# one array (_event_times) and filters their records as blocks; a smaller one
-# solves and filters each alone. On the reference frame (2 CPUs, numpy 2.4)
-# the two break even at 30-48 contacts (array/scalar call time 1.42 at 12,
-# 1.05 at 30, 0.95 at 48), and the fit's grid call is flat from 32 to 48
-ARRAY_SETTLE = 32
+# a read of at least this many records filters them as the columns of blocks,
+# a smaller one each alone. On the reference frame (2 CPUs, numpy 2.4) a block
+# of 513-sample records takes 1.3x the time of filtering them alone at 2
+# records, 1.0x at 3 and 0.7x at 4; at 3 the fit's 1 x 3 calls, whose settle
+# batches hold 3 records, took 1.17x the time they take at 4
+ARRAY_SETTLE = 4
 
 # samples of ended contacts that a call holds before it settles them, in
-# one 128 KB buffer, so its memory stays bounded whatever B x A is
+# one 128 KB buffer, and at most in one block of a read, padding included,
+# so its memory stays bounded whatever B x A is; blocks of half or twice
+# that moved the fit's grid call by under 1 %
 SETTLE_SAMPLES = 4 * ROW_BLOCK * CHUNK_STEPS
 
 # relative slack on the stop rule's bounds, far above the rounding of the
 # propagated states, so a stop never rests on the last bits of a sample
 STOP_SLACK = 1e-9
+
+
+# _transition's ufuncs, looked up once: it runs in every Newton step
+_exp, _cos, _sin, _expm1 = np.exp, np.cos, np.sin, np.expm1
 
 
 def _mode(alpha, w2):
@@ -84,35 +90,21 @@ def _transition(alpha, w2, tau, d=None, r=None):
     """
     if d is None:
         d, r = _mode(alpha, w2)
+    # at a float tau the ufuncs' values go on as Python floats: the same IEEE
+    # operations, so the same bits, at a fraction of numpy scalars' cost
+    real = float if isinstance(tau, float) else np.asarray
     if d > 0.0:
-        decay = np.exp(-alpha * tau)
-        c_ = decay * np.cos(r * tau)
-        s_ = decay * np.sin(r * tau) / r
+        decay = real(_exp(-alpha * tau))
+        c_ = decay * real(_cos(r * tau))
+        s_ = decay * real(_sin(r * tau)) / r
     elif d < 0.0:
-        slow = np.exp(-(w2 / (alpha + r)) * tau)
-        c_ = 0.5 * slow * (1.0 + np.exp(-2.0 * r * tau))
-        s_ = -slow * np.expm1(-2.0 * r * tau) / (2.0 * r)
+        slow = real(_exp(-(w2 / (alpha + r)) * tau))
+        c_ = 0.5 * slow * (1.0 + real(_exp(-2.0 * r * tau)))
+        s_ = -slow * real(_expm1(-2.0 * r * tau)) / (2.0 * r)
     else:
-        c_ = np.exp(-alpha * tau)
+        c_ = real(_exp(-alpha * tau))
         s_ = c_ * tau
     return c_ + alpha * s_, s_, -w2 * s_, c_ - alpha * s_
-
-
-def _branches(alpha, w2):
-    """(sign of d, where, alpha, r) of each _transition branch that the
-    elements of the array alpha take."""
-    d, r = np.array([_mode(a, w2) for a in alpha.tolist()]).T
-    return [(sign, at, alpha[at], r[at]) for sign in (1.0, -1.0, 0.0)
-            if (at := np.sign(d) == sign).any()]
-
-
-def _transitions(branches, w2, tau):
-    """_transition(alpha[i], w2, tau[i]) for every i, bit for bit: the same
-    operations on each element, with branches from _branches(alpha, w2)."""
-    phi = np.empty((4, tau.size))
-    for sign, at, alpha, r in branches:
-        phi[:, at] = _transition(alpha, w2, tau[at], sign, r)
-    return phi
 
 
 def _turning_time(alpha, w2, y, v, d, r):
@@ -209,15 +201,16 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
     where the step [0, dt] brackets a sign change. Newton steps on the
     closed form, kept inside the bracket by bisection; equal ends give dt."""
     # on Python floats: the operations of numpy scalars at a fraction of the cost
-    alpha, offset, y0, y1, dt = map(float, (alpha, offset, y0, y1, dt))
+    alpha, w2, offset, y0, y1, dt = map(float, (alpha, w2, offset, y0, y1, dt))
     mode = _mode(alpha, w2)
     lo, hi = 0.0, dt
     f_lo = offset + y0
-    p00, p01, _, _ = map(float, _transition(alpha, w2, dt, *mode))
+    p00, p01, _, _ = _transition(alpha, w2, dt, *mode)
     f_hi = offset + p00 * y0 + p01 * y1
     tau = dt * f_lo / (f_lo - f_hi) if f_lo != f_hi else dt
+    close = 4.0 * math.ulp(dt)
     for _ in range(100):
-        p00, p01, p10, p11 = map(float, _transition(alpha, w2, tau, *mode))
+        p00, p01, p10, p11 = _transition(alpha, w2, tau, *mode)
         f = offset + p00 * y0 + p01 * y1
         if f == 0.0:
             break
@@ -230,36 +223,9 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
         nxt = tau - step
         if not lo < nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if nxt == tau or hi - lo <= 4.0 * math.ulp(dt):
+        if nxt == tau or hi - lo <= close:
             break
         tau = nxt
-    return tau
-
-
-def _event_times(branches, w2, offset, y0, y1, dt):
-    """_event_time of every element of the arrays offset, y0, y1 and dt,
-    with branches = _branches(alpha, w2) of their alpha, all solved together:
-    each element takes the same iterates, bisection fallbacks and stops as
-    its scalar solve, so the roots agree bit for bit."""
-    lo, hi = np.zeros_like(dt), dt
-    f_lo = offset + y0
-    p00, p01, _, _ = _transitions(branches, w2, dt)
-    f_hi = offset + p00 * y0 + p01 * y1
-    tau = np.where(f_lo != f_hi, dt * f_lo / (f_lo - f_hi), dt)
-    close = 4.0 * np.spacing(dt)
-    active = np.ones(dt.shape, dtype=bool)
-    for _ in range(100):
-        p00, p01, p10, p11 = _transitions(branches, w2, tau)
-        f = offset + p00 * y0 + p01 * y1
-        below = (f < 0.0) == (f_lo < 0.0)
-        lo, hi = np.where(below, tau, lo), np.where(below, hi, tau)
-        slope = p10 * y0 + p11 * y1
-        nxt = tau - np.where(slope != 0.0, f / slope, math.inf)
-        nxt = np.where((lo < nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        active &= ~((f == 0.0) | (nxt == tau) | (hi - lo <= close))
-        tau = np.where(active, nxt, tau)
-        if not active.any():
-            break
     return tau
 
 
@@ -310,9 +276,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
       output and the later inputs.
 
     Once that bound is below the peak so far, the peak is final. The reader
-    peak settles a contact without `keep` at this stop: its largest reading
-    is the raw peak and, for k <= 1, bounds the filtered one, so the stop
-    filters only once the running largest reading exceeds the bound. Outputs
+    settles a contact without `keep` at this stop: its largest reading is
+    the raw peak and, for k <= 1, bounds the filtered one, so the stop
+    filters only once the running largest reading exceeds the bound, and
+    reads the contacts of one chunk pass that do so together. Outputs
     before the last are the full trace's, bit for bit; the last has two
     inputs at most the bound, so it stays below the peak. For k > 1 the
     filter can overshoot its inputs and contacts stop only at events.
@@ -320,13 +287,11 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     A contact without `keep` that ends, at an event or at the horizon, leaves
     its readings, in one buffer of SETTLE_SAMPLES, and its unsolved event.
     When the buffer is full, and at the end, the call settles the batch it
-    holds. A batch of fewer than ARRAY_SETTLE contacts solves each event
-    with _event_time and filters each record alone. A larger one solves the
-    array of events, takes their last states and readings in one pass, and
-    filters blocks of the records, one per row on its own last step, grouped
-    by the power of two that bounds their length. Peaks, terminations and
-    the unresolved-event error are each contact's own bit for bit; the error
-    names the first unresolved event in the order the contacts ended.
+    holds: _event_time solves each event, in the order the contacts ended,
+    and the reader filters the records, each alone in a batch of fewer than
+    ARRAY_SETTLE, else as the columns of blocks, each on its own last step.
+    Peaks and terminations are each contact's own bit for bit, and the first
+    unresolved event raises its error.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -371,11 +336,34 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, value
         row_of[s] = None
 
-    def peak(trace, k_last, bound=-math.inf):
-        """The largest |reading| of a record, filtered when a cutoff is set,
-        or None while it is at most bound."""
-        value = float((np.abs(lowpass(trace, k_mid, k_last)) if filtered else trace).max())
-        return None if value <= bound else value
+    def read(records):
+        """The peak of each (readings, k_last) record: its largest reading,
+        filtered when a cutoff is set. Fewer than ARRAY_SETTLE records are
+        filtered one by one, more as the columns of blocks of at most
+        SETTLE_SAMPLES samples, grouped by the power of two that bounds their
+        length, each column on its own last step."""
+        if len(records) < ARRAY_SETTLE:
+            return [float((np.abs(lowpass(trace, k_mid, k_last)) if filtered else trace).max())
+                    for trace, k_last in records]
+        values, groups = [0.0] * len(records), {}
+        for i, (trace, _) in enumerate(records):
+            groups.setdefault((trace.size - 1).bit_length(), []).append(i)
+        for bits, group in groups.items():
+            width = max(1, SETTLE_SAMPLES >> bits)
+            for part in (group[k:k + width] for k in range(0, len(group), width)):
+                lengths = np.array([records[i][0].size for i in part])
+                block = np.zeros((lengths.max(), len(part)))  # a record per column
+                for col, i in enumerate(part):
+                    block[:lengths[col], col] = records[i][0]
+                if filtered:
+                    gains = np.array([records[i][1] for i in part])
+                    block = lowpass(block, k_mid, gains, lengths)
+                    np.abs(block, out=block)
+                    if lengths.min() < block.shape[0]:
+                        block[np.arange(block.shape[0])[:, None] >= lengths] = 0.0
+                for i, value in zip(part, block.max(axis=0).tolist()):
+                    values[i] = value
+        return values
 
     def solve_event(c, wall, y0, y1, span, t_step):
         """(tau, x, v) at the event in the step of span from (y0, y1) at
@@ -428,61 +416,16 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         held += size
 
     def settle_ended():
-        """Settle the ended contacts: solve their events, then filter their
-        readings, one by one in a batch of fewer than ARRAY_SETTLE, else as
-        one array of events and blocks of traces of like length."""
-        if len(ended) < ARRAY_SETTLE:
-            for i, c, wall, y0, y1, span, t_before in events:
-                tau, x_ev, v_ev = solve_event(c, wall, y0, y1, span, t_before)
-                ended[i][2][-1] = abs(accel(c, x_ev, v_ev) - shift)
-                if filtered:
-                    ended[i][3] = prewarped_gain(cutoff, (t_before + tau) - t_before)
-            for row, code, trace, k_last in ended:
-                codes.flat[row], peaks.flat[row] = code, peak(trace, k_last)
-            return
-        if events:
-            at, c, wall, y0, y1, span, t_before = (np.array(e) for e in zip(*events))
-            alpha, offset = 0.5 * c / mass, x_eq - wall
-            # warnings off: solving contact by contact stops at the first
-            # unresolved event, whose scalar solve raises its error here
-            with np.errstate(all="ignore"):
-                branches = _branches(alpha, w2)
-                tau = _event_times(branches, w2, offset, y0, y1, span)
-                f00, f01, f10, f11 = _transitions(branches, w2, tau)
-                miss = offset + f00 * y0 + f01 * y1
-                unresolved = np.abs(miss) > STOP_SLACK * (np.abs(offset) + np.abs(y0))
-                if unresolved.any():
-                    solve_event(*events[int(unresolved.argmax())][1:])
-            x_ev = x_eq + f00 * y0 + f01 * y1
-            v_ev = f10 * y0 + f11 * y1
-            readings = np.abs(accel(c, x_ev, v_ev) - shift).tolist()
-            last_steps = ((t_before + tau) - t_before).tolist()
-            for i, reading, last_step in zip(at.tolist(), readings, last_steps):
-                ended[i][2][-1] = reading
-                if filtered:
-                    ended[i][3] = prewarped_gain(cutoff, last_step)
-        # traces grouped by the power of two that bounds their length, in
-        # blocks of about ROW_BLOCK x CHUNK_STEPS samples
-        groups = {}
-        for i, (_, _, trace, _) in enumerate(ended):
-            groups.setdefault((trace.size - 1).bit_length(), []).append(i)
-        blocks = []
-        for bits, group in groups.items():
-            width = max(1, ROW_BLOCK * CHUNK_STEPS >> bits)
-            blocks += [group[k:k + width] for k in range(0, len(group), width)]
-        for group in blocks:
-            lengths = np.array([ended[i][2].size for i in group])
-            block = np.zeros((len(group), lengths.max()))  # a record per row
-            for row, i in enumerate(group):
-                block[row, :lengths[row]] = ended[i][2]
+        """Settle the ended contacts: solve their events in the order they
+        ended, then read their records."""
+        for i, c, wall, y0, y1, span, t_before in events:
+            tau, x_ev, v_ev = solve_event(c, wall, y0, y1, span, t_before)
+            ended[i][2][-1] = abs(accel(c, x_ev, v_ev) - shift)
             if filtered:
-                gains = np.array([ended[i][3] for i in group])
-                block = lowpass(block.T, k_mid, gains, lengths).T
-                np.abs(block, out=block)
-                if lengths.min() < block.shape[1]:
-                    block[np.arange(block.shape[1]) >= lengths[:, None]] = 0.0
-            rows = [ended[i][0] for i in group]
-            peaks.flat[rows], codes.flat[rows] = block.max(axis=1), [ended[i][1] for i in group]
+                ended[i][3] = prewarped_gain(cutoff, (t_before + tau) - t_before)
+        rows = [row for row, _, _, _ in ended]
+        peaks.flat[rows] = read([(trace, k_last) for _, _, trace, k_last in ended])
+        codes.flat[rows] = [code for _, code, _, _ in ended]
 
     while True:
         for s in range(slots):
@@ -524,19 +467,20 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         if stops:
             # the state one sample before the chunk's end bounds the rest
             ye, ve = y[:, chunk - 1].tolist(), v[:, chunk - 1].tolist()
+        stopping = []  # (slot, bound) of the contacts that the stop reads
 
         for s, row in enumerate(row_of):
             if row is None:
                 continue
             length = min(chunk, max_records - done[s])
-            alpha = 0.5 * damping[s] / mass
+            alpha = 0.5 * damping.item(s) / mass
             # j: the first event's step, else length; a step ending past a wall holds one
             j = min(int(first[s]) if hit[s, first[s]] else chunk, length)
             collided, span = j < length and bool(x[s, j + 1] >= clearance), period
             for turn in cols[edges[s]:edges[s + 1]]:
                 if turn >= j:
                     break
-                yt, vt = y[s, turn], v[s, turn]
+                yt, vt = y.item(s, turn), v.item(s, turn)
                 # a peak faces the stroke, a dip zero
                 side, offset = (1.0, x_eq - clearance) if vt > 0.0 else (-1.0, x_eq)
                 # unsolved when the energy bound keeps x off that wall
@@ -552,7 +496,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             if j < length:  # the event step starts from state j
                 wall = clearance if collided else 0.0
                 code, t_step = TERM_COLLISION if collided else TERM_REBOUND, (done[s] + j) * period
-                finish(s, code, t_step, None, (damping[s], wall, y[s, j], v[s, j], span))
+                finish(s, code, t_step, None, (damping.item(s), wall, y.item(s, j), v.item(s, j), span))
                 continue
             if done[s] + length == max_records:
                 finish(s, TERM_MAX_TIME, period * (max_records - 1), period * max_records)
@@ -572,8 +516,12 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 continue
             energy2 = ve[s] * ve[s] + w2 * ye[s] * ye[s]
             bound = slack * (shift + math.sqrt(energy2) * (w + damping[s] / mass))
-            value = peak(np.concatenate(parts[s]), k_mid, bound) if top[s] > bound else None
-            if value is not None:
+            if top[s] > bound:
+                stopping.append((s, bound))
+        # the slots whose largest reading passed their bound, read together
+        records = [(np.concatenate(parts[s]), k_mid) for s, _ in stopping]
+        for (s, bound), value in zip(stopping, read(records)):
+            if value > bound:
                 settle(s, TERM_MAX_TIME, value)
     settle_ended()
     return peaks, codes, kept

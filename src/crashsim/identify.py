@@ -98,7 +98,7 @@ def estimate_stiffness(samples: list[StaticDeflectionSample]) -> float:
         raise DomainError(f"need at least 2 static samples, got {len(samples)}")
     deflections = np.array([s.deflection for s in samples])
     forces = np.array([s.force for s in samples])
-    if np.unique(deflections).size < 2:
+    if deflections.min() == deflections.max():
         raise DegenerateDataError("static samples need at least 2 distinct deflections")
     return float(np.dot(forces, deflections) / np.dot(deflections, deflections))
 

@@ -240,6 +240,25 @@ class TestFit:
         assert result["stiffness"] == pytest.approx(7040.0, rel=1e-9)
         assert result["stiffness_source"] == "measured"
 
+    def test_fit_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs a process ~1 MB and ~10 ms on its first import, and
+        # np.unique imports it; a fresh interpreter shows what a fit loads
+        statics = tmp_path / "statics.csv"
+        statics.write_text("force_n,deflection_m\n7.04,0.001\n35.2,0.005\n70.4,0.01\n")
+        script = (
+            "import sys\n"
+            "from crashsim.cli import main\n"
+            f"out, statics = {str(tmp_path)!r}, {str(statics)!r}\n"
+            "assert main(['--out-dir', out, 'synth', '--altitudes-cm', '100',"
+            " '--repeats', '2']) == 0\n"
+            "assert main(['--out-dir', out, 'fit', '--peaks', out + '/peaks.csv',"
+            " '--statics', statics]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_g_unit_round_trip(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "--unit", "g", "synth",
                        "--altitudes-cm", "50,100,150", "--repeats", "3") == 0
@@ -430,6 +449,24 @@ class TestEnergy:
 
     def test_bad_altitude_list_exit_2(self, tmp_path):
         assert run_cli("--out-dir", tmp_path, "energy", "--altitudes-cm", "50,oops") == 2
+
+    def test_mass_scaling_scales_only_the_joules(self, tmp_path):
+        # (m, c, k) -> 2**-3 (m, c, k) keeps c/m and k/m exact: every *_j
+        # entry scales by exactly 2**-3, every other entry stays the same
+        reports = []
+        for scale in (1.0, 0.125):
+            out = tmp_path / str(scale)
+            assert run_cli("--out-dir", out, "energy", "--altitudes-cm", "30,150,2000",
+                           "--mass", scale * 0.241, "--damping", scale * 46.0,
+                           "--stiffness", scale * 7040.0) == 0
+            reports.append(json.loads((out / "energy.json").read_text()))
+        report, scaled = reports
+        assert scaled["collision_threshold_altitude_m"] == report["collision_threshold_altitude_m"]
+        assert [row["termination"] for row in report["altitudes"]] == [
+            "rebound", "collision", "collision"]
+        for row, scaled_row in zip(report["altitudes"], scaled["altitudes"]):
+            assert scaled_row == {key: 0.125 * value if key.endswith("_j") else value
+                                  for key, value in row.items()}
 
 
 class TestEntryPoint:

@@ -368,6 +368,47 @@ class TestFinalBreakdownStop:
         assert traj.termination is Termination.MAX_TIME and len(traj) == 20001
 
 
+JOULE_TERMS = ["initial_potential", "kinetic_at_impact", "spring", "damper", "collision",
+               "damper_paper_rule"]
+
+
+class TestMassRelation:
+    """Scaling (m, c, k) by a power of two leaves alpha = c/(2m) and w2 = k/m
+    exact, so trajectories, terminations and thresholds stay the same bit for
+    bit, and every energy term, each a product with m, c or k, scales by
+    exactly that power (an oracle-free metamorphic relation)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.floats(-1.5, 0.5).map(lambda e: 10.0 ** e),
+           stiffness=st.floats(3.0, 4.5).map(lambda e: 10.0 ** e),
+           zeta=st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0]) | st.floats(0.0, 8.0),
+           altitude=st.just(0.0) | st.floats(-4.0, 1.3).map(lambda e: 10.0 ** e),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+           stroke=st.sampled_from([0.003, 0.016, 0.05]),
+           j=st.integers(-30, 30).filter(bool))
+    def test_mass_scaling_scales_only_the_energy_terms(self, mass, stiffness, zeta, altitude,
+                                                       sample_rate, stroke, j):
+        scale = 2.0 ** j
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        scaled = ImpactParams(scale * mass, scale * params.damping, scale * stiffness)
+        scenario = DropScenario(altitude, clearance=stroke, sample_rate=sample_rate)
+
+        traj, scaled_traj = simulate_contact(params, scenario), simulate_contact(scaled, scenario)
+        assert scaled_traj.termination is traj.termination
+        for name in ("time", "compression", "velocity", "acceleration"):
+            np.testing.assert_array_equal(getattr(scaled_traj, name), getattr(traj, name))
+        np.testing.assert_array_equal(scaled_traj.damper_energy, scale * traj.damper_energy)
+
+        breakdown, scaled_breakdown = energy_partition(params, scenario), energy_partition(
+            scaled, scenario)
+        for name, value in vars(breakdown).items():
+            expected = scale * value if name in JOULE_TERMS else value
+            assert getattr(scaled_breakdown, name) == expected, name
+
+        assert collision_threshold_altitude(scaled, scenario) == collision_threshold_altitude(
+            params, scenario)
+
+
 class TestAltitudeEnergyRatio:
     def test_flexible_vs_rigid_five_fold(self):
         # 241 g from 150 cm against 239 g from 30 cm

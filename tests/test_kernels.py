@@ -193,7 +193,7 @@ class TestLowpassMatchesLoop:
 class TestStopFiltersOnce:
     """A record is filtered only once its largest reading exceeds the stop's
     bound, so every contact is filtered once, at its stop or at its end,
-    alone or as one column of a large settle batch's block."""
+    alone or as one column of a block."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -234,12 +234,14 @@ class TestStopFiltersOnce:
     # boundary, as soon as its peak is final, though the frame is then still
     # many x_eq deep
     def test_reference_fit_grid_settles_after_one_chunk(self, passes, monkeypatch):
-        stops = []
+        stops = []  # records filtered on k_mid to the end: a stop's, not an event's
         lowpass = _kernels.lowpass
 
         def recording(values, k_mid, k_last, traces=None):
-            if traces is None and k_last == k_mid:  # a stop's record, not an event's
-                stops.append(values.size)
+            if traces is None:
+                stops.extend([values.size] if k_last == k_mid else [])
+            else:
+                stops.extend(n for n, k in zip(traces.tolist(), k_last.tolist()) if k == k_mid)
             return lowpass(values, k_mid, k_last, traces)
 
         monkeypatch.setattr(_kernels, "lowpass", recording)
@@ -254,6 +256,19 @@ class TestStopFiltersOnce:
             peak, termination = full_trajectory_outcome(
                 ImpactParams(MASS, dampings[b], STIFFNESS), DropScenario(altitudes[a]), False)
             assert peaks[b, a] == peak and termination is Termination.MAX_TIME
+
+    # a 5 Hz sensor still climbs toward 1 g long after a micrometre drop has
+    # settled: the raw readings pass the stop's bound at the first chunk
+    # boundaries while the filtered peak so far does not, so the stop must
+    # read on until the filtered peak passes the bound
+    @pytest.mark.parametrize("altitude", [1e-6, 1e-5])
+    def test_slow_sensor_reads_on_until_its_peak_passes_the_bound(self, altitude):
+        params = ImpactParams(MASS, 46.0, STIFFNESS)
+        scenario = DropScenario(altitude, sensor_cutoff=5.0)
+        peaks, terminations = drop_peaks(params, scenario, [params.damping], [altitude])
+        full = simulate_contact(params, scenario)
+        assert terminations[0, 0] is full.termination is Termination.MAX_TIME
+        assert peaks[0, 0] == filtered_peak(full, scenario.sensor_cutoff)
 
     def test_deep_overdamped_drop_settles_after_one_chunk(self, passes):
         params, scenario = params_at(3.0), DropScenario(1.0)
@@ -449,9 +464,12 @@ class TestBatchedPeaksMatchTrajectories:
 
 
 class TestElementwiseMath:
-    """A large settle batch solves its events as arrays where a small one
-    solves each alone; they agree bit for bit only while numpy gives an
-    element of an array the bits it gives the same value alone."""
+    """_transition evaluates the step table on an array of
+    min(max_records, CHUNK_STEPS) + 1 steps and every event, turning and
+    reach solve at one float. So a contact's samples over a horizon shorter
+    than a chunk are the prefix of a longer run's, and the float path is the
+    array path, only while numpy gives an element of an array the bits it
+    gives the same value alone."""
 
     @pytest.mark.parametrize("function", [np.exp, np.cos, np.sin, np.expm1])
     @pytest.mark.parametrize("size", [1, 3, 8, 165])
@@ -465,9 +483,8 @@ class TestElementwiseMath:
                 alone = float(function(value))
                 assert np.float64(element).tobytes() == np.float64(alone).tobytes(), (
                     f"np.{function.__name__}({value!r}) is {alone!r} alone but {element!r} "
-                    f"in a {size}-element array: on this platform a drop_peaks call whose "
-                    f"settle batches reach _kernels.ARRAY_SETTLE contacts can differ in the "
-                    f"last bits from the same contacts simulated one by one")
+                    f"in a {size}-element array: on this platform _kernels._transition "
+                    f"can differ in the last bits between its step table and its float path")
 
 
 def contact_by_contact(params, scenario, dampings, altitudes, use_raw_peak):
@@ -515,9 +532,8 @@ class TestMassRelation:
 
 
 class TestBulkSettle:
-    """A settle batch of at least ARRAY_SETTLE ended contacts solves their
-    events as one array and filters their records as blocks; it must give
-    what each contact gives alone."""
+    """A read of at least ARRAY_SETTLE records filters them as the columns
+    of blocks; it must give what each contact gives alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(mass=st.floats(0.03, 3.0),
@@ -547,60 +563,26 @@ class TestBulkSettle:
             np.testing.assert_array_equal(peaks, alone_peaks)
             assert (terminations == alone_terminations).all()
 
-    def test_event_times_are_the_scalar_solves(self, monkeypatch):
-        # every event a large settle batch solves, including the unresolved
-        # ones of 1e297 m drops whose bracket closes first, against
-        # _event_time; each frame's 64 contacts make one array solve
-        solved = []
-        event_times = _kernels._event_times
-
-        def recording(*args):
-            solved.append(args)
-            return event_times(*args)
-
-        monkeypatch.setattr(_kernels, "_event_times", recording)
-        dampings = [0.0, *np.geomspace(1e-3, 5.0 * C_CRIT, 14), C_CRIT]
-        for altitudes, sample_rate in [([0.01, 0.5, 1.5, 20.0], 1500.0),
-                                       ([0.001, 0.3, 2.0, 5.0], 100000.0),
-                                       ([1.0, 1e297, 3e297, 1e298], 20000.0)]:
-            scenario = DropScenario(0.0, clearance=0.004, sample_rate=sample_rate)
-            try:
-                drop_peaks(params_at(0.0), scenario, dampings, altitudes)
-            except NumericalError:
-                pass
-        assert len(solved) == 3
-        for branches, w2, offset, y0, y1, dt in solved:
-            alpha = np.empty(offset.size)
-            for _, at, branch_alpha, _ in branches:
-                alpha[at] = branch_alpha
-            roots = event_times(branches, w2, offset, y0, y1, dt)
-            for i, root in enumerate(roots):
-                assert root == _kernels._event_time(alpha[i], w2, offset[i], y0[i], y1[i], dt[i])
-
-    # the scalar solve runs on Python floats, the array solve on numpy
-    # arrays: the same IEEE operations, so the same roots, for event solves
-    # and turning-step solves (offset 0, on the state (v, a)) in every regime
+    # the event, turning and reach solves evaluate _transition at a Python
+    # float, on Python floats, the step table on an array: the same ufuncs
+    # and IEEE operations, so the same bits, in every branch and past the
+    # square range, alpha >= 1e154
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(1.0, 3.0).map(lambda e: 10.0 ** e),
            zeta=st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0])
-           | st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
-           sample_rate=st.sampled_from([1500.0, 5000.0, 20000.0, 100000.0]),
-           y=st.floats(-0.05, 0.05), v=st.floats(-5.0, 5.0),
-           share=st.floats(0.0, 1.0), turning=st.booleans())
-    def test_scalar_solve_is_the_array_solve(self, omega, zeta, sample_rate, y, v, share,
-                                             turning):
-        w2, alpha, dt = omega * omega, zeta * omega, 1.0 / sample_rate
-        if turning:
-            y, v = v, -w2 * y - 2.0 * alpha * v
-        p00, p01, _, _ = _kernels._transition(alpha, w2, dt)
-        offset = 0.0 if turning else -(y + share * float(p00 * y + p01 * v - y))
-        one = np.array([1.0])
-        with np.errstate(all="ignore"):  # as a large settle batch runs it
-            root = _kernels._event_times(_kernels._branches(alpha * one, w2), w2,
-                                         offset * one, y * one, v * one, dt * one)[0]
-        for args in [(alpha, offset, y, v, dt), tuple(map(np.float64, (alpha, offset, y, v, dt)))]:
-            got = _kernels._event_time(args[0], w2, *args[1:])
-            assert type(got) is float and got == root
+           | st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e)
+           | st.floats(151.0, 305.0).map(lambda e: 10.0 ** e),
+           tau=st.just(0.0) | st.floats(0.0, 1.0 / 1500.0),
+           numpy_args=st.booleans())
+    def test_float_transition_is_the_array_transition(self, omega, zeta, tau, numpy_args):
+        alpha, w2 = zeta * omega, omega * omega
+        if numpy_args:
+            alpha, w2, tau = map(np.float64, (alpha, w2, tau))
+        got = _kernels._transition(alpha, w2, tau)
+        want = _kernels._transition(alpha, w2, np.array([tau]))
+        assert numpy_args or all(type(entry) is float for entry in got)
+        for entry, element in zip(got, want):
+            assert np.float64(entry).tobytes() == element.tobytes()
 
     @pytest.mark.parametrize("use_raw_peak", [False, True])
     def test_small_budget_settles_in_batches(self, monkeypatch, use_raw_peak):
@@ -608,20 +590,22 @@ class TestBulkSettle:
         dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
         scenario = DropScenario(0.0)
         whole = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        arrays = []  # the events of each array solve
-        branches = _kernels._branches
+        reads = []  # per lowpass call: None for a record alone, else a block's columns
+        lowpass = _kernels.lowpass
 
-        def counting(alpha, w2):
-            arrays.append(alpha.size)
-            return branches(alpha, w2)
+        def counting(values, k_mid, k_last, traces=None):
+            reads.append(None if traces is None else traces.size)
+            return lowpass(values, k_mid, k_last, traces)
 
-        monkeypatch.setattr(_kernels, "_branches", counting)
-        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 8 * _kernels.CHUNK_STEPS)
+        monkeypatch.setattr(_kernels, "lowpass", counting)
+        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 2 * _kernels.CHUNK_STEPS)
         batched = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        # batches on both sides of ARRAY_SETTLE: some events are solved as
-        # arrays, the rest one by one
-        events = np.isin(batched[1], [Termination.REBOUND, Termination.COLLISION]).sum()
-        assert len(arrays) >= 2 and 0 < sum(arrays) < events
+        # reads on both sides of ARRAY_SETTLE: some records are filtered as
+        # blocks, the rest one by one; raw peaks are never filtered
+        if not use_raw_peak:
+            blocks, alone = [n for n in reads if n is not None], reads.count(None)
+            assert len(blocks) >= 2 and alone > 0
+            assert sum(blocks) + alone == batched[0].size
         np.testing.assert_array_equal(batched[0], whole[0])
         assert (batched[1] == whole[1]).all()
 
@@ -632,11 +616,11 @@ class TestBulkSettle:
         dampings, altitudes = np.geomspace(1.0, 100.0, 6), [1.0, 1e298, 1e297]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # every batch solved as an array, then every event alone
-            monkeypatch.setattr(_kernels, "ARRAY_SETTLE", 1)
+            # one batch of every ended contact, then batches of one contact,
+            # each settled as the next one ends
             with pytest.raises(NumericalError) as bulk:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
-            monkeypatch.setattr(_kernels, "ARRAY_SETTLE", math.inf)
+            monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 1)
             with pytest.raises(NumericalError) as inline:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
         assert "not resolved" in str(inline.value)
