@@ -23,6 +23,7 @@ can sum marginally above 1 (by x_eval/h); they are reported unclamped.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +41,6 @@ from .dynamics import (
 from .errors import ConfigurationError, DomainError, NumericalError
 
 THRESHOLD_CAP_M = 100.0  # default altitude cap [m] of the collision-threshold search
-THRESHOLD_RESOLUTION_M = 1e-3  # resolution [m] of the collision-threshold bisection
 
 
 @dataclass(frozen=True)
@@ -157,16 +157,15 @@ def energy_distribution_curve(params: ImpactParams, scenario_template: DropScena
 
 def collision_threshold_altitude(params: ImpactParams, scenario_template: DropScenario,
                                  altitude_cap: float = THRESHOLD_CAP_M) -> float:
-    """Smallest drop altitude [m] that ends in a collision, by bisection.
-
-    Returns math.inf when no collision occurs up to altitude_cap. Resolution
-    is THRESHOLD_RESOLUTION_M; the bisection also stops when the interval
-    no longer shrinks, once its midpoint rounds to an end. A drop collides
-    exactly when its first peak within the contact horizon,
-    _kernels.first_peak, reaches the stroke: the energy about x_eq never
-    grows, so later peaks are lower. The outcome is monotone in altitude:
-    x(t) increases with v0 while p01(t) > 0, at least to the first zero of v.
-    """
+    """Smallest float drop altitude [m] that ends in a collision: 5e-324 when
+    every drop above 0 collides, math.inf when none does up to altitude_cap.
+    A drop collides exactly when its first peak within the contact horizon,
+    _kernels.first_peak, reaches the stroke (later peaks are lower: the energy
+    about x_eq never grows). That is monotone in altitude, as x(t) grows with
+    v0 while p01(t) > 0, at least to the first zero of v; and non-negative
+    floats sort like their bit patterns, so at most 64 probes bisect those
+    from 0 (no collision) to the cap. Where the float peak wobbles by an ulp
+    about the stroke, it may end a few floats up, still just above a miss."""
     if not (math.isfinite(altitude_cap) and altitude_cap > 0.0):
         raise ConfigurationError(f"altitude_cap must be > 0, got {altitude_cap}")
     try:
@@ -176,19 +175,20 @@ def collision_threshold_altitude(params: ImpactParams, scenario_template: DropSc
 
     period, max_records = _step_grid(params, scenario_template, MAX_TIME_S, [v_cap])
 
-    def collides(h: float) -> bool:
-        v0 = impact_velocity(h, params.gravity)
+    def altitude(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    def collides(bits: int) -> bool:
+        v0 = math.sqrt(2.0 * params.gravity * altitude(bits))  # as impact_velocity, below v_cap
         return first_peak(params, v0, period * max_records) >= scenario_template.clearance
 
-    if not collides(altitude_cap):
+    lo, hi = 0, struct.unpack("<Q", struct.pack("<d", altitude_cap))[0]
+    if not collides(hi):
         return math.inf
-    lo, hi = 0.0, altitude_cap
-    while hi - lo > THRESHOLD_RESOLUTION_M and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if collides(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if collides(mid) else (mid, hi)
+    return altitude(hi)
 
 
 def altitude_energy_ratio(m1: float, h1: float, m2: float, h2: float) -> float:

@@ -421,7 +421,7 @@ class TestEnergy:
 
     def test_threshold_bisection_below_float_spacing_returns(self, tmp_path):
         # with a 1e6 m stroke the threshold lies near 5.6e15 m, where the
-        # float spacing (1 m) exceeds the 1 mm bisection tolerance
+        # float spacing is 1 m; the search over a 1e30 m cap still ends
         proc = run_child("--out-dir", tmp_path, "energy", "--altitudes-cm", "100",
                          "--threshold-cap-m", "1e30", "--clearance-mm", "1e9")
         assert proc.returncode == 0, proc.stderr
@@ -467,6 +467,29 @@ class TestEnergy:
         for row, scaled_row in zip(report["altitudes"], scaled["altitudes"]):
             assert scaled_row == {key: 0.125 * value if key.endswith("_j") else value
                                   for key, value in row.items()}
+
+    def test_length_scaling_scales_lengths_and_joules(self, tmp_path):
+        # (h, stroke, g) and the threshold cap -> 2**2 (...): every *_m entry
+        # scales by exactly 2**2, every *_j entry by 4**2, the rest stays the same
+        reports = []
+        for scale in (1.0, 4.0):
+            out = tmp_path / str(scale)
+            assert run_cli("--out-dir", out, "energy", "--altitudes-cm",
+                           ",".join(repr(scale * cm) for cm in (30.0, 150.0, 2000.0)),
+                           "--gravity", scale * STANDARD_GRAVITY, "--clearance-mm", scale * 16.0,
+                           "--threshold-cap-m", scale * 100.0) == 0
+            reports.append(json.loads((out / "energy.json").read_text()))
+        report, scaled = reports
+        assert scaled["collision_threshold_altitude_m"] == 4.0 * report[
+            "collision_threshold_altitude_m"]
+        assert [row["termination"] for row in report["altitudes"]] == [
+            "rebound", "collision", "collision"]
+        factors = {"_m": 4.0, "_j": 16.0}
+        for row, scaled_row in zip(report["altitudes"], scaled["altitudes"]):
+            assert scaled_row.keys() == row.keys()
+            for key, value in row.items():
+                expected = value if key == "termination" else factors.get(key[-2:], 1.0) * value
+                assert scaled_row[key] == expected, key
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashsim import (
@@ -217,6 +217,35 @@ class TestCollisionThreshold:
         bisected_stiff = collision_threshold_altitude(stiff, make_scenario(0.0))
         assert abs(bisected_stiff - swept_stiff) <= 0.011
 
+    # the threshold is a float altitude whose drop reaches the stroke while
+    # the drop from the next float below does not; the last frame's 9 mm
+    # stroke lies below its 9.81 mm static sag, so every drop above 0
+    # collides there
+    @pytest.mark.parametrize("sample_rate", [5000.0, 20000.0, 100000.0])
+    @pytest.mark.parametrize("mass,damping,stiffness,stroke", [
+        (0.241, 46.0, 7040.0, 0.016),
+        *[(0.241, zeta * 2.0 * math.sqrt(0.241 * 7040.0), 7040.0, 0.016)
+          for zeta in (0.0, 0.56, 1.0, 3.0)],
+        (1.0, 2.0, 1000.0, 0.009),
+    ])
+    def test_threshold_is_the_smallest_colliding_float(self, mass, damping, stiffness,
+                                                      stroke, sample_rate):
+        params = ImpactParams(mass, damping, stiffness)
+        horizon = (1.0 / sample_rate) * math.ceil(MAX_TIME_S * sample_rate)
+
+        def collides(h):
+            return first_peak(params, impact_velocity(h, params.gravity), horizon) >= stroke
+
+        threshold = collision_threshold_altitude(
+            params, DropScenario(0.0, clearance=stroke, sample_rate=sample_rate))
+        assert collides(threshold) and not collides(math.nextafter(threshold, 0.0))
+
+    def test_exact_thresholds(self, reference_params, make_scenario):
+        assert round(collision_threshold_altitude(reference_params, make_scenario(0.0)),
+                     7) == 1.3973481
+        sagging = ImpactParams(mass=1.0, damping=2.0, stiffness=1000.0)
+        assert collision_threshold_altitude(sagging, make_scenario(0.0, clearance=0.009)) == 5e-324
+
     # a 1e308 m cap is finite, but its impact velocity is not
     @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan, math.inf, 1e308])
     def test_invalid_altitude_cap_rejected(self, reference_params, make_scenario, cap):
@@ -407,6 +436,95 @@ class TestMassRelation:
 
         assert collision_threshold_altitude(scaled, scenario) == collision_threshold_altitude(
             params, scenario)
+
+
+class TestLengthRelation:
+    """Scaling the altitude, the stroke and gravity by a power of two scales
+    v0 = sqrt(2*g*h), x_eq = m*g/k and every compression, velocity and
+    acceleration by exactly that power and leaves times and terminations the
+    same, so peaks, margins and the outcome from each altitude scale by it,
+    and every energy term by its square (an oracle-free metamorphic
+    relation). The threshold search follows up to the float first peak's
+    ulp wobble about the stroke."""
+
+    @staticmethod
+    def assert_scaled(scaled, value, scale):
+        """scaled == scale * value bit for bit wherever either side reaches
+        the smallest normal float of both frames; below it a decayed state is
+        subnormal in one of them, where rounding differs."""
+        floor = np.finfo(float).tiny * max(scale, 1.0)
+        exact = np.maximum(np.abs(scaled), np.abs(scale * value)) >= floor
+        np.testing.assert_array_equal(scaled[exact], scale * value[exact])
+
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.floats(-1.5, 0.5).map(lambda e: 10.0 ** e),
+           stiffness=st.floats(3.0, 4.5).map(lambda e: 10.0 ** e),
+           zeta=st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0])
+           | st.floats(math.log(1e-3), math.log(8.0)).map(math.exp),
+           altitudes=st.lists(st.floats(-4.0, 1.3).map(lambda e: 10.0 ** e), min_size=1,
+                              max_size=3),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+           stroke=st.sampled_from([0.003, 0.016, 0.05]),
+           j=st.integers(-30, 30).filter(bool))
+    # a frame whose float first peak wobbles about the stroke: the search in
+    # the doubled frame ends 5 ulps below twice the threshold
+    @example(mass=0.17309690284253174, stiffness=1683.42727632068, zeta=1.0 + 1e-8,
+             altitudes=[1.0], sample_rate=5000.0, stroke=0.003, j=1)
+    def test_length_scaling_scales_states_peaks_and_threshold(
+            self, mass, stiffness, zeta, altitudes, sample_rate, stroke, j):
+        scale = 2.0 ** j
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        scaled = replace(params, gravity=scale * params.gravity)
+        scenario = DropScenario(altitudes[0], clearance=stroke, sample_rate=sample_rate)
+        scaled_scenario = DropScenario(scale * altitudes[0], clearance=scale * stroke,
+                                       sample_rate=sample_rate)
+
+        traj, scaled_traj = simulate_contact(params, scenario), simulate_contact(
+            scaled, scaled_scenario)
+        assert scaled_traj.termination is traj.termination
+        np.testing.assert_array_equal(scaled_traj.time, traj.time)
+        for name in ("compression", "velocity", "acceleration"):
+            self.assert_scaled(getattr(scaled_traj, name), getattr(traj, name), scale)
+        self.assert_scaled(scaled_traj.damper_energy, traj.damper_energy, scale ** 2)
+
+        for use_raw_peak in (True, False):
+            peaks, terminations = drop_peaks(params, scenario, [params.damping], altitudes,
+                                             use_raw_peak)
+            scaled_peaks, scaled_terminations = drop_peaks(
+                scaled, scaled_scenario, [params.damping], [scale * h for h in altitudes],
+                use_raw_peak)
+            np.testing.assert_array_equal(scaled_terminations, terminations)
+            self.assert_scaled(scaled_peaks, peaks, scale)
+
+        breakdown, scaled_breakdown = energy_partition(params, scenario), energy_partition(
+            scaled, scaled_scenario)
+        for name, value in vars(breakdown).items():
+            if name in JOULE_TERMS:
+                value *= scale ** 2
+            elif name in ("compression_at_eval", "stroke_margin"):
+                value *= scale
+            assert getattr(scaled_breakdown, name) == value, name
+
+        threshold = collision_threshold_altitude(params, scenario)
+        scaled_threshold = collision_threshold_altitude(
+            scaled, scaled_scenario, altitude_cap=scale * energy.THRESHOLD_CAP_M)
+        if threshold < np.finfo(float).tiny:
+            # every drop above 0 collides, and the threshold lies among the
+            # subnormal floats, where scaling rounds
+            assert scaled_threshold < np.finfo(float).tiny
+        elif threshold == math.inf:
+            assert scaled_threshold == math.inf
+        else:
+            # the scaled frame also collides from scale * threshold and not
+            # from the float below; where the float first peak wobbles by an
+            # ulp about the stroke, the scaled search, whose probes are not the
+            # scaled probes, can end on another such pair a few floats away
+            # (at most 5 ulps in the 1 204 random frames and the example above)
+            horizon = (1.0 / sample_rate) * math.ceil(MAX_TIME_S * sample_rate)
+            for h in (threshold, math.nextafter(threshold, 0.0)):
+                v0 = impact_velocity(scale * h, scaled.gravity)
+                assert (first_peak(scaled, v0, horizon) >= scale * stroke) is (h == threshold)
+            assert abs(scaled_threshold - scale * threshold) <= 8 * math.ulp(scaled_threshold)
 
 
 class TestAltitudeEnergyRatio:

@@ -17,18 +17,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crashsim import (
     DropScenario,
     ImpactParams,
     Termination,
+    collision_threshold_altitude,
     drop_peaks,
     peak_acceleration,
     simulate_contact,
     simulate_impact,
 )
 from crashsim.dynamics import MAX_TIME_S
-from crashsim.energy import first_peak
+from crashsim.energy import THRESHOLD_CAP_M, first_peak
 from test_kernels import lowpass_loop
 
 integrate = pytest.importorskip("scipy.integrate")
@@ -50,7 +53,7 @@ C_REFERENCE = 2.0 * math.sqrt(0.241 * 7040.0)
 
 # (mass, damping, stiffness) and an altitude below and above the frame's
 # collision threshold with the 16 mm stroke (3.83 m, 3.83 m, 16.0 m and
-# 1378 m; then 0.365 m at zeta 0, 0.824 m at zeta 0.3, 1.398 m for the
+# 1378 m; then 0.365 m at zeta 0, 0.824 m at zeta 0.3, 1.397 m for the
 # reference zeta 0.56 and 3.83 m at zeta 1 - 1e-8); 400 N*s/m is exactly
 # critical for the 1 kg, 40 000 N/m frame
 CASES = [
@@ -65,10 +68,13 @@ CASES = [
 ]
 
 
-def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy=False):
+def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy=False,
+                     until_turn=False):
     """Termination and DOP853 solution of the contact, with terminal events
     at the stroke and at x = 0 after compression; with damper_energy, the
-    integral of c*v**2 dt rides along as a third state."""
+    integral of c*v**2 dt rides along as a third state; with until_turn, the
+    contact also ends at its first turning point (v = 0 after compression),
+    where it reads max_time."""
     m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
     clearance = scenario.clearance
 
@@ -78,16 +84,21 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
     def lift_off(t, y):
         return y[0]
 
+    def turn(t, y):
+        return y[1]
+
     def rhs(t, y):
         a = g - (c * y[1] + k * y[0]) / m
         return (y[1], a, c * y[1] * y[1]) if damper_energy else (y[1], a)
 
     stroke.terminal, stroke.direction = True, 1.0
     lift_off.terminal, lift_off.direction = True, -1.0
+    turn.terminal, turn.direction = True, -1.0
     v0 = math.sqrt(2.0 * g * scenario.drop_altitude)
     y0 = (0.0, v0, 0.0) if damper_energy else (0.0, v0)
+    events = (stroke, lift_off, turn) if until_turn else (stroke, lift_off)
     sol = integrate.solve_ivp(rhs, (0.0, MAX_TIME_S), y0, method="DOP853", rtol=RTOL,
-                              atol=ATOL, events=(stroke, lift_off), dense_output=True)
+                              atol=ATOL, events=events, dense_output=True)
     assert sol.success and sol.t.size < MAX_STEPS
     if sol.t_events[0].size:
         return Termination.COLLISION, sol
@@ -153,6 +164,55 @@ def oracle_first_peak(params: ImpactParams, v0: float) -> float:
                               rtol=RTOL, atol=ATOL, events=turn)
     assert sol.success and sol.t.size < MAX_STEPS
     return float(sol.y_events[0][0][0]) if sol.t_events[0].size else float(sol.y[0, -1])
+
+
+# The threshold h* is a float altitude whose first peak P reaches the stroke
+# s while the float below it does not, so P(h*) lies within rounding of s.
+# The contact from v0 is x(t) = x_g(t) + v0*p01(t), x_g the contact from
+# rest, and p01 > 0 while v > 0: raising v0 from v to v' raises P by at
+# least (v'/v - 1)*(P(v) - x_g_max), x_g_max the largest x_g within the
+# horizon. For eps <= 1, the drop from h*(1 + eps) is faster by a factor of
+# at least 1 + 3*eps/8, and the one from h* faster than the one from
+# h*(1 - eps) by at least 1 + eps/2. So with eps = 4*TOL*s/(s - x_g_max) the
+# first peaks at least 1.5*TOL*s above s, and a drop from h*(1 - eps) that
+# the oracle saw collide (P >= s - TOL*s) would put P(h*) about TOL*s above
+# s. TOL bounds the oracle's error; the package's first peak is exact to
+# rounding.
+@settings(max_examples=60, deadline=None)
+@given(mass=st.floats(math.log(0.03), math.log(3.0)).map(math.exp),
+       stiffness=st.floats(math.log(1e3), math.log(3e4)).map(math.exp),
+       zeta=st.sampled_from([0.0, 0.3, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 3.0, 30.0])
+       | st.floats(math.log(0.01), math.log(10.0)).map(math.exp),
+       sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+       stroke=st.sampled_from([0.003, 0.016, 0.05]))
+def test_threshold_brackets_the_oracle_outcome(mass, stiffness, zeta, sample_rate, stroke):
+    params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+    scenario = DropScenario(0.0, clearance=stroke, sample_rate=sample_rate)
+    threshold = collision_threshold_altitude(params, scenario)
+
+    def collides(altitude):
+        termination, sol = contact_solution(params, DropScenario(
+            altitude, clearance=stroke, sample_rate=sample_rate), until_turn=True)
+        # a peak that passes the stroke within one step raises no stroke event
+        return termination is Termination.COLLISION or sol.y[0, -1] >= stroke
+
+    # from rest x_g overshoots x_eq by at most exp(-pi*zeta/sqrt(1 - zeta**2))
+    # x_eq, and not at all from zeta = 1; past the stroke, integrate it
+    x_eq = mass * params.gravity / stiffness
+    x_g_max = x_eq * (1.0 + (math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta * zeta))
+                             if zeta < 1.0 else 0.0))
+    if x_g_max >= stroke:
+        x_g_max = oracle_first_peak(params, 0.0)
+    if x_g_max >= stroke * (1.0 + TOL):
+        # even the slowest drop reaches the stroke
+        assert threshold == 5e-324 and collides(threshold)
+        return
+    eps = 4.0 * TOL * stroke / (stroke - x_g_max)
+    assume(eps <= 1.0)
+    if threshold == math.inf:
+        assert not collides(THRESHOLD_CAP_M * (1.0 - eps))
+    else:
+        assert collides(threshold * (1.0 + eps)) and not collides(threshold * (1.0 - eps))
 
 
 # (mass, damping, stiffness) and altitudes [m]; from zeta 1 - 1e-8 up, each
