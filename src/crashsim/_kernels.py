@@ -17,13 +17,14 @@ damper_gram takes Q from Van Loan's block exponential ("Computing integrals
 involving the matrix exponential", IEEE TAC 1978), never from the energy
 balance, so a caller sums it over the sampled states.
 
-A call without samples settles the contacts that end in batches: one Newton
-solve per event, _event_time, and one reader of their records, which filters
-a large batch as the columns of blocks, a segmented doubling scan (Blelloch,
-"Prefix sums and their applications", 1990), and a small one record by
-record. The early stop reads its contacts with the same reader. Each contact
-gets what it gets alone, bit for bit: a column of a block sees the
-operations of its record alone.
+A contact's event is solved where the contact ends, by one Newton solve,
+_event_time. A call without samples settles the contacts that end in
+batches, with one reader of their records, which filters a large batch as
+the columns of blocks, a segmented doubling scan (Blelloch, "Prefix sums and
+their applications", 1990), and a small one record by record. The early stop
+reads its contacts with the same reader. Each contact gets what it gets
+alone, bit for bit: a column of a block sees the operations of its record
+alone.
 """
 
 from __future__ import annotations
@@ -197,11 +198,11 @@ def dissipated(q, y, v):
 
 
 def _event_time(alpha, w2, offset, y0, y1, dt):
-    """Root tau in (0, dt] of offset + x-row of Phi(tau) applied to (y0, y1),
-    where the step [0, dt] brackets a sign change. Newton steps on the
-    closed form, kept inside the bracket by bisection; equal ends give dt."""
-    # on Python floats: the operations of numpy scalars at a fraction of the cost
-    alpha, w2, offset, y0, y1, dt = map(float, (alpha, w2, offset, y0, y1, dt))
+    """(tau, Phi(tau)) for the root tau in (0, dt] of offset + x-row of
+    Phi(tau) applied to (y0, y1), where the step [0, dt] brackets a sign
+    change; Phi(tau) as _transition's entries. Newton steps on the closed
+    form, on Python floats, kept inside the bracket by bisection; equal ends
+    give dt."""
     mode = _mode(alpha, w2)
     lo, hi = 0.0, dt
     f_lo = offset + y0
@@ -210,10 +211,10 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
     tau = dt * f_lo / (f_lo - f_hi) if f_lo != f_hi else dt
     close = 4.0 * math.ulp(dt)
     for _ in range(100):
-        p00, p01, p10, p11 = _transition(alpha, w2, tau, *mode)
+        phi = p00, p01, p10, p11 = _transition(alpha, w2, tau, *mode)
         f = offset + p00 * y0 + p01 * y1
         if f == 0.0:
-            break
+            return tau, phi
         if (f < 0.0) == (f_lo < 0.0):
             lo = tau
         else:
@@ -224,9 +225,9 @@ def _event_time(alpha, w2, offset, y0, y1, dt):
         if not lo < nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if nxt == tau or hi - lo <= close:
-            break
+            return tau, phi
         tau = nxt
-    return tau
+    return tau, _transition(alpha, w2, tau, *mode)
 
 
 def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
@@ -284,14 +285,15 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     inputs at most the bound, so it stays below the peak. For k > 1 the
     filter can overshoot its inputs and contacts stop only at events.
 
-    A contact without `keep` that ends, at an event or at the horizon, leaves
-    its readings, in one buffer of SETTLE_SAMPLES, and its unsolved event.
-    When the buffer is full, and at the end, the call settles the batch it
-    holds: _event_time solves each event, in the order the contacts ended,
-    and the reader filters the records, each alone in a batch of fewer than
-    ARRAY_SETTLE, else as the columns of blocks, each on its own last step.
-    Peaks and terminations are each contact's own bit for bit, and the first
-    unresolved event raises its error.
+    A contact's event is solved when the contact ends, so events are solved
+    in the order contacts end and the first unresolved one raises its error;
+    its state (with `keep`) or reading ends the contact's record. A contact
+    without `keep` that ends, at an event or at the horizon, leaves its
+    readings in one buffer of SETTLE_SAMPLES. When the buffer is full, and
+    at the end, the call settles the batch it holds: the reader filters the
+    records, each alone in a batch of fewer than ARRAY_SETTLE, else as the
+    columns of blocks, each on its own last step. Peaks and terminations are
+    each contact's own bit for bit.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -326,10 +328,9 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     parts = [[] for _ in range(slots)]
     table, table_b = None, None
     pending = iter(range(peaks.size))
-    # without keep, ended contacts as [row, code, readings, k_last], their
-    # unsolved events as (index in ended, damping, wall, y, v, span, t_before),
-    # and the samples they hold, in store
-    ended, events, held = [], [], 0
+    # without keep, ended contacts as (row, code, readings, k_last) and the
+    # samples they hold, in store
+    ended, held = [], 0
     store = None if keep else np.empty(SETTLE_SAMPLES)
 
     def settle(s, code, value):
@@ -369,8 +370,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
         """(tau, x, v) at the event in the step of span from (y0, y1) at
         t_step, for damping c; raises NumericalError when it is unresolved."""
         alpha, offset = 0.5 * c / mass, x_eq - wall
-        tau = _event_time(alpha, w2, offset, y0, y1, span)
-        f00, f01, f10, f11 = _transition(alpha, w2, tau)
+        tau, (f00, f01, f10, f11) = _event_time(alpha, w2, offset, y0, y1, span)
         # a solve ends this far from the wall only when its bracket closed first
         miss = offset + f00 * y0 + f01 * y1
         if abs(miss) > STOP_SLACK * (abs(offset) + abs(y0)):
@@ -380,49 +380,32 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 time=float(t_step))
         return tau, x_eq + f00 * y0 + f01 * y1, f10 * y0 + f11 * y1
 
-    def finish(s, code, t_before, t_end, event=None):
+    def finish(s, code, t_before, t_end):
         """Settle slot s at its last sample, taken at t_end; t_before is the
-        time of the sample before it. With an event (damping, wall, y, v,
-        span) still to solve, t_end is None. Without keep the slot's readings
-        go to settle_ended, with its event."""
+        time of the sample before it. Without keep the slot's readings go to
+        settle_ended."""
         nonlocal held
         if keep:
-            if event is not None:
-                tau, x_ev, v_ev = solve_event(*event, t_before)
-                parts[s].append(([x_ev], [v_ev]))
-                t_end = t_before + tau
             x, v = (np.concatenate(c) for c in zip(*parts[s]))
             parts[s] = []  # drop the chunk views before the temporaries
             t = period * np.arange(x.size)
             t[-1] = t_end
             kept.flat[row_of[s]] = (t, x, v, accel(damping[s], x, v))
             return settle(s, code, math.nan)
-        k_last = None
-        if filtered and event is None:
-            k_last = prewarped_gain(cutoff, float(t_end - t_before))
-        if event is not None:  # the last reading, the event's, comes from its solve
-            parts[s].append([math.nan])
+        k_last = prewarped_gain(cutoff, t_end - t_before) if filtered else None
         size = sum(map(len, parts[s]))
         if held + size > SETTLE_SAMPLES:
             settle_ended()
-            del ended[:], events[:]
+            del ended[:]
             held = 0
         # records share one buffer: held apart, they fragment the heap
         record = store[held:held + size] if size <= SETTLE_SAMPLES else np.empty(size)
-        if event is not None:
-            events.append((len(ended), *event, t_before))
-        ended.append([row_of[s], code, np.concatenate(parts[s], out=record), k_last])
+        ended.append((row_of[s], code, np.concatenate(parts[s], out=record), k_last))
         parts[s], row_of[s] = [], None
         held += size
 
     def settle_ended():
-        """Settle the ended contacts: solve their events in the order they
-        ended, then read their records."""
-        for i, c, wall, y0, y1, span, t_before in events:
-            tau, x_ev, v_ev = solve_event(c, wall, y0, y1, span, t_before)
-            ended[i][2][-1] = abs(accel(c, x_ev, v_ev) - shift)
-            if filtered:
-                ended[i][3] = prewarped_gain(cutoff, (t_before + tau) - t_before)
+        """Settle the ended contacts: read their records."""
         rows = [row for row, _, _, _ in ended]
         peaks.flat[rows] = read([(trace, k_last) for _, _, trace, k_last in ended])
         codes.flat[rows] = [code for _, code, _, _ in ended]
@@ -486,17 +469,19 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 # unsolved when the energy bound keeps x off that wall
                 if side * offset + slack * math.sqrt(yt * yt + vt * vt / w2) < 0.0:
                     continue
-                tau = _event_time(alpha, w2, 0.0, vt, -w2 * yt - 2.0 * alpha * vt, period)
-                f00, f01, _, _ = _transition(alpha, w2, tau)
+                tau, (f00, f01, _, _) = _event_time(alpha, w2, 0.0, vt,
+                                                    -w2 * yt - 2.0 * alpha * vt, period)
                 if side * (offset + f00 * yt + f01 * vt) >= 0.0:
                     j, collided, span = turn, side > 0.0, tau
                     break
             parts[s].append((x[s, 1:j + 1], v[s, 1:j + 1]) if keep else samples[s, 1:j + 1])
 
             if j < length:  # the event step starts from state j
-                wall = clearance if collided else 0.0
+                c, wall = damping.item(s), clearance if collided else 0.0
                 code, t_step = TERM_COLLISION if collided else TERM_REBOUND, (done[s] + j) * period
-                finish(s, code, t_step, None, (damping.item(s), wall, y.item(s, j), v.item(s, j), span))
+                tau, x_ev, v_ev = solve_event(c, wall, y.item(s, j), v.item(s, j), span, t_step)
+                parts[s].append(([x_ev], [v_ev]) if keep else [abs(accel(c, x_ev, v_ev) - shift)])
+                finish(s, code, t_step, t_step + tau)
                 continue
             if done[s] + length == max_records:
                 finish(s, TERM_MAX_TIME, period * (max_records - 1), period * max_records)

@@ -32,11 +32,11 @@ simulate_impact keeps the samples of one contact; drop_peaks keeps only the
 peak acceleration and the termination of many, and stops each contact as
 soon as neither can change any more, so both read the same samples (as
 simulate_impact does, with stop_when_final, for its largest compression).
-drop_peaks settles the contacts that end in batches, one Newton solve per
-event; a batch of at least _kernels.ARRAY_SETTLE records, as in the fit's
-grid scan, is filtered in blocks instead of record by record, and so are
-the contacts that one chunk pass stops early; the results are the same bit
-for bit.
+Each event is located by one Newton solve as its contact ends. drop_peaks
+settles the contacts that end in batches; a batch of at least
+_kernels.ARRAY_SETTLE records, as in the fit's grid scan, is filtered in
+blocks instead of record by record, and so are the contacts that one chunk
+pass stops early; the results are the same bit for bit.
 The accumulated damper energy (integral of c*x'^2) is not propagated:
 simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
 the recorded states, independently of the energy balance; damper_gram is
@@ -246,12 +246,13 @@ def simulate_impact(params: ImpactParams, v0: float, scenario: DropScenario,
     Lower-level entry point used by simulate_contact; taking v0 directly
     decouples the initial speed from the gravity that forces the contact.
     A zero v0 is a zero-length contact: the trajectory holds the single
-    initial sample and terminates as a rebound; with stop_when_final, as
-    MAX_TIME once neither its termination nor its largest compression can
-    change. Raises NumericalError when omega_n*h > pi, where a step could
-    hold both a peak and a dip, and when the rounding of the step cannot
-    locate an event: a contact so fast that it crosses the stroke within a
-    few ulp of the sample period.
+    initial sample and terminates as a rebound, with or without
+    stop_when_final, which stops only a moving contact: as MAX_TIME once
+    neither its termination nor its largest compression can change. Raises
+    NumericalError when omega_n*h > pi, where a step could hold both a peak
+    and a dip, and when the rounding of the step cannot locate an event: a
+    contact so fast that it crosses the stroke within a few ulp of the
+    sample period.
     """
     v0 = _require_finite("impact velocity", v0)
     if v0 < 0.0:

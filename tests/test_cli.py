@@ -125,6 +125,28 @@ class TestSimulate:
         # the filter's warm start passes the first reading |a - g| through
         assert a_filtered[0] == pytest.approx(abs(a[0] - g), rel=1e-11)
 
+    def test_time_scaling_scales_speeds_and_accelerations(self, tmp_path):
+        # (fs, fc, c) -> 4 (...), (k, g) -> 16 (...) and the horizon -> 1/4:
+        # the speed scales by exactly 4, every peak by 16, x_max and the
+        # termination stay; a collision and a rebound, both well inside 1/4 s
+        for altitude_cm, termination in (("2000", "collision"), ("50", "rebound")):
+            summaries = []
+            for scale in (1.0, 4.0):
+                out = tmp_path / altitude_cm / str(scale)
+                assert run_cli("--out-dir", out, "simulate", "--altitude-cm", altitude_cm,
+                               "--damping", scale * 46.0, "--stiffness", scale ** 2 * 7040.0,
+                               "--gravity", scale ** 2 * STANDARD_GRAVITY,
+                               "--cutoff-hz", scale * 500.0,
+                               "--sample-rate-hz", scale * 20000.0,
+                               "--max-time", 1.0 / scale) == 0
+                summaries.append(json.loads((out / "summary.json").read_text()))
+            summary, scaled = summaries
+            assert summary["termination"] == scaled["termination"] == termination
+            factors = {"impact_velocity": 4.0, "raw_peak": 16.0, "proper_peak": 16.0,
+                       "filtered_peak": 16.0, "x_max": 1.0}
+            for key, factor in factors.items():
+                assert scaled[key] == factor * summary[key], key
+
     def test_defaults_are_the_model_defaults(self):
         parser = cli.build_parser()
         args = parser.parse_args(["simulate", "--altitude-cm", "100"])

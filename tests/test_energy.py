@@ -527,6 +527,62 @@ class TestLengthRelation:
             assert abs(scaled_threshold - scale * threshold) <= 8 * math.ulp(scaled_threshold)
 
 
+class TestTimeRelation:
+    """Scaling the sample rate, the cutoff and the damping by a power of two
+    L, and the stiffness and gravity by L**2, runs the same contact L times
+    faster: alpha, omega, v0 and 1/period scale by L, x_eq, every step's
+    angle and the filter gain tan(pi*fc/fs) stay, so times scale by 1/L,
+    compressions stay, velocities scale by L and accelerations and the damper
+    energy by L**2 (an oracle-free metamorphic relation). drop_peaks ends
+    every contact at the fixed MAX_TIME_S, so its peaks scale only on the
+    contacts that end at an event inside both horizons."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mass=st.floats(-1.5, 0.5).map(lambda e: 10.0 ** e),
+           stiffness=st.floats(3.0, 4.5).map(lambda e: 10.0 ** e),
+           zeta=st.sampled_from([0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0])
+           | st.floats(math.log(1e-3), math.log(8.0)).map(math.exp),
+           altitudes=st.lists(st.floats(-4.0, 1.3).map(lambda e: 10.0 ** e), min_size=1,
+                              max_size=3),
+           sample_rate=st.sampled_from([5000.0, 20000.0, 100000.0]),
+           stroke=st.sampled_from([0.003, 0.016, 0.05]),
+           j=st.integers(-8, 3).filter(bool))
+    def test_time_scaling_scales_times_rates_and_accelerations(
+            self, mass, stiffness, zeta, altitudes, sample_rate, stroke, j):
+        scale = 2.0 ** j
+        params = ImpactParams(mass, zeta * 2.0 * math.sqrt(stiffness * mass), stiffness)
+        scaled = ImpactParams(mass, scale * params.damping, scale * scale * stiffness,
+                              scale * scale * params.gravity)
+        scenario = DropScenario(0.0, clearance=stroke, sample_rate=sample_rate)
+        scaled_scenario = DropScenario(0.0, clearance=stroke, sensor_cutoff=scale * 500.0,
+                                       sample_rate=scale * sample_rate)
+        assert_scaled = TestLengthRelation.assert_scaled
+
+        ends = []  # the contacts that end at an event inside both horizons
+        for h in altitudes:
+            v0 = impact_velocity(h, params.gravity)
+            traj = simulate_impact(params, v0, scenario)
+            scaled_traj = simulate_impact(scaled, impact_velocity(h, scaled.gravity),
+                                          scaled_scenario, max_time=MAX_TIME_S / scale)
+            assert scaled_traj.impact_velocity == scale * v0
+            assert scaled_traj.termination is traj.termination
+            assert_scaled(scaled_traj.time, traj.time, 1.0 / scale)
+            assert_scaled(scaled_traj.compression, traj.compression, 1.0)
+            assert_scaled(scaled_traj.velocity, traj.velocity, scale)
+            assert_scaled(scaled_traj.acceleration, traj.acceleration, scale * scale)
+            assert_scaled(scaled_traj.damper_energy, traj.damper_energy, scale * scale)
+            ends.append(traj.termination is not Termination.MAX_TIME
+                        and traj.time[-1] + 1.0 / sample_rate <= min(1.0, scale) * MAX_TIME_S)
+
+        for use_raw_peak in (True, False):
+            peaks, terminations = drop_peaks(params, scenario, [params.damping], altitudes,
+                                             use_raw_peak)
+            scaled_peaks, scaled_terminations = drop_peaks(
+                scaled, scaled_scenario, [scaled.damping], altitudes, use_raw_peak)
+            np.testing.assert_array_equal(scaled_terminations[0, ends], terminations[0, ends])
+            assert_scaled(scaled_peaks[0, ends], peaks[0, ends], scale * scale)
+
+
 class TestAltitudeEnergyRatio:
     def test_flexible_vs_rigid_five_fold(self):
         # 241 g from 150 cm against 239 g from 30 cm

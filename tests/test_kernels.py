@@ -1,4 +1,6 @@
+import hashlib
 import math
+import platform
 import sys
 import warnings
 from unittest import mock
@@ -616,8 +618,9 @@ class TestBulkSettle:
         dampings, altitudes = np.geomspace(1.0, 100.0, 6), [1.0, 1e298, 1e297]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # one batch of every ended contact, then batches of one contact,
-            # each settled as the next one ends
+            # events are solved as their contacts end, so the same first one
+            # raises whether the settle buffer holds every ended contact or,
+            # at one sample, settles each as the next one ends
             with pytest.raises(NumericalError) as bulk:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
             monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 1)
@@ -626,3 +629,73 @@ class TestBulkSettle:
         assert "not resolved" in str(inline.value)
         assert str(bulk.value) == str(inline.value)
         assert bulk.value.time == inline.value.time
+
+
+def simd_targets():
+    """The SIMD targets numpy dispatches to on this machine, or None when
+    this numpy does not report them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return None
+    features = umath.__cpu_features__
+    return " ".join([*umath.__cpu_baseline__,
+                     *(t for t in umath.__cpu_dispatch__ if features.get(t))])
+
+
+def kernel_digest():
+    """SHA-256 over the outcomes of 40 fixed seeded drop_peaks frames (the
+    peak bytes and termination of each contact, or the error's class, message
+    and .time) and one simulate_contact trajectory."""
+    rng = np.random.default_rng(26)
+    digest = hashlib.sha256()
+    zetas = [0.0, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 30.0]
+    rates = [1500.0, 5000.0, 20000.0, 100000.0]
+    for frame in range(40):
+        mass, stiffness = np.exp(rng.uniform(np.log([0.03, 1e3]), np.log([3.0, 3e4]))).tolist()
+        crit = 2.0 * math.sqrt(stiffness * mass)
+        # the drawn zetas, then one of the pinned ones; every fifth frame a
+        # batch of 16 dampings, filtered as the columns of blocks
+        count = 16 if frame % 5 == 4 else int(rng.integers(1, 4))
+        dampings = [crit * z for z in np.exp(rng.uniform(-4.6, 2.3, count - 1)).tolist()]
+        dampings.append(crit * zetas[frame % len(zetas)])
+        altitudes = np.exp(rng.uniform(-5.8, 3.4, int(rng.integers(1, 4)))).tolist()
+        if frame % 8 == 7:  # crosses the stroke within a few ulp of its step
+            altitudes.append(1e297)
+        scenario = DropScenario(0.0, clearance=[0.003, 0.016, 0.05][frame % 3],
+                                sample_rate=rates[frame % len(rates)])
+        try:
+            peaks, terminations = drop_peaks(ImpactParams(mass, 0.0, stiffness), scenario,
+                                             dampings, altitudes, bool(frame % 2))
+        except NumericalError as error:
+            digest.update(f"{type(error).__name__}|{error}|{error.time!r}".encode())
+            continue
+        digest.update(peaks.tobytes())
+        digest.update(" ".join(t.value for t in terminations.flat).encode())
+    traj = simulate_contact(ImpactParams(MASS, 46.0, STIFFNESS), DropScenario(1.0))
+    for column in (traj.time, traj.compression, traj.velocity, traj.acceleration,
+                   traj.damper_energy):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestKernelDigest:
+    """Every other bit-identity test compares two paths of the same code;
+    this one pins the kernel's outputs to those recorded on a fixed build, so
+    a change in the last bit of any peak, termination, error or sample fails
+    it. numpy's SIMD exp, sin and cos and the C library's math functions can
+    round differently elsewhere, so the digest is keyed to the numpy version,
+    its enabled SIMD targets and the C library."""
+
+    DIGESTS = {
+        ("2.4.6", "X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "glibc 2.36"):
+            "acbf21a8ddaf37193263a14ef736e8148855b1aa8b91ea4b5a5ce18ddc1e42f1",
+    }
+
+    def test_outcomes_match_the_recorded_digest(self):
+        key = (np.__version__, simd_targets(), " ".join(platform.libc_ver()))
+        if key not in self.DIGESTS:
+            pytest.skip(f"no digest recorded for numpy, SIMD targets and C library {key}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert kernel_digest() == self.DIGESTS[key]

@@ -35,6 +35,7 @@ from crashsim.energy import THRESHOLD_CAP_M, first_peak
 from test_kernels import lowpass_loop
 
 integrate = pytest.importorskip("scipy.integrate")
+optimize = pytest.importorskip("scipy.optimize")
 
 # DOP853 keeps each step's local error below RTOL*|y| + ATOL, ATOL far below
 # every state's scale, and its dense output is of the same order. The flow
@@ -74,7 +75,14 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
     at the stroke and at x = 0 after compression; with damper_energy, the
     integral of c*v**2 dt rides along as a third state; with until_turn, the
     contact also ends at its first turning point (v = 0 after compression),
-    where it reads max_time."""
+    where it reads max_time.
+
+    The stroke event sees only a sign change of x - stroke between step
+    ends, so a peak that passes the stroke and turns back within one step
+    raises none. The first turning point is an event too: where x there
+    reaches the stroke the contact collides, and the solution ends at the
+    crossing before it, found on the dense output. Later peaks are no
+    higher, since the energy about x_eq never grows."""
     m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
     clearance = scenario.clearance
 
@@ -93,14 +101,22 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
 
     stroke.terminal, stroke.direction = True, 1.0
     lift_off.terminal, lift_off.direction = True, -1.0
-    turn.terminal, turn.direction = True, -1.0
+    turn.terminal, turn.direction = until_turn, -1.0
     v0 = math.sqrt(2.0 * g * scenario.drop_altitude)
     y0 = (0.0, v0, 0.0) if damper_energy else (0.0, v0)
-    events = (stroke, lift_off, turn) if until_turn else (stroke, lift_off)
     sol = integrate.solve_ivp(rhs, (0.0, MAX_TIME_S), y0, method="DOP853", rtol=RTOL,
-                              atol=ATOL, events=events, dense_output=True)
+                              atol=ATOL, events=(stroke, lift_off, turn), dense_output=True)
     assert sol.success and sol.t.size < MAX_STEPS
     if sol.t_events[0].size:
+        return Termination.COLLISION, sol
+    if sol.t_events[2].size and sol.y_events[2][0][0] >= clearance:
+        # the step ends before the turn lie below the stroke
+        t_turn = sol.t_events[2][0]
+        t_hit = optimize.brentq(lambda t: stroke(t, sol.sol(t)),
+                                sol.t[sol.t < t_turn][-1], t_turn)
+        before = sol.t < t_hit
+        sol.t = np.append(sol.t[before], t_hit)
+        sol.y = np.column_stack((sol.y[:, before], sol.sol(t_hit)))
         return Termination.COLLISION, sol
     if sol.t_events[1].size:
         return Termination.REBOUND, sol
@@ -150,6 +166,21 @@ def test_overdamped_and_critical_contacts_match_oracle(frame, altitudes):
     assert Termination.COLLISION in outcomes and len(outcomes) == 2
 
 
+# an undamped frame whose drops from just above its threshold peak 1.2 nm to
+# 0.2 um past the 50 mm stroke, between two of DOP853's step ends
+@pytest.mark.parametrize("excess", [6.2e-8, 1e-6, 1e-5])
+def test_stroke_passed_within_one_step_collides(excess):
+    params = ImpactParams(1.0, 0.0, 1097.0)
+    threshold = collision_threshold_altitude(params, DropScenario(0.0, clearance=0.05))
+    scenario = DropScenario(threshold * (1.0 + excess), clearance=0.05)
+    termination, sol = contact_solution(params, scenario)
+    traj = simulate_contact(params, scenario)
+    assert termination is traj.termination is Termination.COLLISION
+    x, v = sol.sol(sol.t[-1])
+    assert abs(x - 0.05) <= TOL * 0.05
+    assert abs(traj.time[-1] - sol.t[-1]) <= TOL * 0.05 / abs(v)
+
+
 def oracle_first_peak(params: ImpactParams, v0: float) -> float:
     """Compression at the first v = 0 of the unclipped contact, or at
     MAX_TIME_S when v stays positive up to it, integrated by DOP853."""
@@ -191,10 +222,9 @@ def test_threshold_brackets_the_oracle_outcome(mass, stiffness, zeta, sample_rat
     threshold = collision_threshold_altitude(params, scenario)
 
     def collides(altitude):
-        termination, sol = contact_solution(params, DropScenario(
+        termination, _ = contact_solution(params, DropScenario(
             altitude, clearance=stroke, sample_rate=sample_rate), until_turn=True)
-        # a peak that passes the stroke within one step raises no stroke event
-        return termination is Termination.COLLISION or sol.y[0, -1] >= stroke
+        return termination is Termination.COLLISION
 
     # from rest x_g overshoots x_eq by at most exp(-pi*zeta/sqrt(1 - zeta**2))
     # x_eq, and not at all from zeta = 1; past the stroke, integrate it
