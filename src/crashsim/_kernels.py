@@ -18,13 +18,13 @@ involving the matrix exponential", IEEE TAC 1978), never from the energy
 balance, so a caller sums it over the sampled states.
 
 A contact's event is solved where the contact ends, by one Newton solve,
-_event_time. A call without samples settles the contacts that end in
-batches, with one reader of their records, which filters a large batch as
-the columns of blocks, a segmented doubling scan (Blelloch, "Prefix sums and
-their applications", 1990), and a small one record by record. The early stop
-reads its contacts with the same reader. Each contact gets what it gets
-alone, bit for bit: a column of a block sees the operations of its record
-alone.
+_event_time. A call without samples reads, at the end of each chunk pass,
+the records of the contacts that ended in it together with those of the
+contacts that the early stop tests. One reader filters them, longest first,
+as the columns of blocks of records of nearly equal length, a segmented
+doubling scan (Blelloch, "Prefix sums and their applications", 1990). Each
+contact gets what it gets alone, bit for bit: a column of a block sees the
+operations of its record alone.
 """
 
 from __future__ import annotations
@@ -45,21 +45,9 @@ TERM_MAX_TIME = 2
 CHUNK_STEPS = 512
 
 # contacts that propagate_contacts advances together in one numpy pass, so a
-# pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is
-ROW_BLOCK = 8
-
-# a read of at least this many records filters them as the columns of blocks,
-# a smaller one each alone. On the reference frame (2 CPUs, numpy 2.4) a block
-# of 513-sample records takes 1.3x the time of filtering them alone at 2
-# records, 1.0x at 3 and 0.7x at 4; at 3 the fit's 1 x 3 calls, whose settle
-# batches hold 3 records, took 1.17x the time they take at 4
-ARRAY_SETTLE = 4
-
-# samples of ended contacts that a call holds before it settles them, in
-# one 128 KB buffer, and at most in one block of a read, padding included,
-# so its memory stays bounded whatever B x A is; blocks of half or twice
-# that moved the fit's grid call by under 1 %
-SETTLE_SAMPLES = 4 * ROW_BLOCK * CHUNK_STEPS
+# pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is,
+# and its read at most ROW_BLOCK records that are not zero-length
+ROW_BLOCK = 16
 
 # relative slack on the stop rule's bounds, far above the rounding of the
 # propagated states, so a stop never rests on the last bits of a sample
@@ -276,24 +264,23 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
       sum to 1, so every later output is at most the largest of the current
       output and the later inputs.
 
-    Once that bound is below the peak so far, the peak is final. The reader
-    settles a contact without `keep` at this stop: its largest reading is
-    the raw peak and, for k <= 1, bounds the filtered one, so the stop
-    filters only once the running largest reading exceeds the bound, and
-    reads the contacts of one chunk pass that do so together. Outputs
-    before the last are the full trace's, bit for bit; the last has two
-    inputs at most the bound, so it stays below the peak. For k > 1 the
-    filter can overshoot its inputs and contacts stop only at events.
+    Once that bound is below the peak so far, the peak is final. A contact
+    without `keep` is read at this stop: its largest reading is the raw
+    peak and, for k <= 1, bounds the filtered one, so the stop filters only
+    once the running largest reading exceeds the bound. Outputs before the
+    last are the full trace's, bit for bit; the last has two inputs at most
+    the bound, so it stays below the peak. For k > 1 the filter can
+    overshoot its inputs and contacts stop only at events.
 
     A contact's event is solved when the contact ends, so events are solved
     in the order contacts end and the first unresolved one raises its error;
-    its state (with `keep`) or reading ends the contact's record. A contact
-    without `keep` that ends, at an event or at the horizon, leaves its
-    readings in one buffer of SETTLE_SAMPLES. When the buffer is full, and
-    at the end, the call settles the batch it holds: the reader filters the
-    records, each alone in a batch of fewer than ARRAY_SETTLE, else as the
-    columns of blocks, each on its own last step. Peaks and terminations are
-    each contact's own bit for bit.
+    its state (with `keep`) or reading ends the contact's record. Without
+    `keep`, the records of the contacts that end in a chunk pass, at an
+    event or at the horizon, each on its own last step, are read at the end
+    of the pass in one call of the reader, with the records of the contacts
+    that the stop tests; the zero-length contacts that end after the last
+    pass are read after it. A call with `keep` reads nothing. Peaks and
+    terminations are each contact's own bit for bit.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -328,43 +315,43 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     parts = [[] for _ in range(slots)]
     table, table_b = None, None
     pending = iter(range(peaks.size))
-    # without keep, ended contacts as (row, code, readings, k_last) and the
-    # samples they hold, in store
-    ended, held = [], 0
-    store = None if keep else np.empty(SETTLE_SAMPLES)
+    ended = []  # without keep, this pass's ended contacts: (row, code, readings, k_last)
 
     def settle(s, code, value):
         codes.flat[row_of[s]], peaks.flat[row_of[s]] = code, value
         row_of[s] = None
 
-    def read(records):
-        """The peak of each (readings, k_last) record: its largest reading,
-        filtered when a cutoff is set. Fewer than ARRAY_SETTLE records are
-        filtered one by one, more as the columns of blocks of at most
-        SETTLE_SAMPLES samples, grouped by the power of two that bounds their
-        length, each column on its own last step."""
-        if len(records) < ARRAY_SETTLE:
-            return [float((np.abs(lowpass(trace, k_mid, k_last)) if filtered else trace).max())
-                    for trace, k_last in records]
-        values, groups = [0.0] * len(records), {}
-        for i, (trace, _) in enumerate(records):
-            groups.setdefault((trace.size - 1).bit_length(), []).append(i)
-        for bits, group in groups.items():
-            width = max(1, SETTLE_SAMPLES >> bits)
-            for part in (group[k:k + width] for k in range(0, len(group), width)):
-                lengths = np.array([records[i][0].size for i in part])
-                block = np.zeros((lengths.max(), len(part)))  # a record per column
-                for col, i in enumerate(part):
-                    block[:lengths[col], col] = records[i][0]
-                if filtered:
-                    gains = np.array([records[i][1] for i in part])
-                    block = lowpass(block, k_mid, gains, lengths)
-                    np.abs(block, out=block)
-                    if lengths.min() < block.shape[0]:
-                        block[np.arange(block.shape[0])[:, None] >= lengths] = 0.0
-                for i, value in zip(part, block.max(axis=0).tolist()):
-                    values[i] = value
-        return values
+    def read(stopping):
+        """Settle this pass's ended contacts, and each (slot, bound) of
+        stopping whose peak passes its bound, from one read of their
+        (readings, k_last) records. A record's peak is its largest reading,
+        filtered when a cutoff is set. Longest first, each block takes as
+        its columns every record left within CHUNK_STEPS + 1 samples of the
+        longest one left, so no column is padded by more, and one lowpass
+        call filters it, each column on its own last step."""
+        records = [(np.concatenate(parts[s]), k_mid) for s, _ in stopping]
+        records += [(trace, k_last) for _, _, trace, k_last in ended]
+        values = [0.0] * len(records)
+        order = sorted(range(len(records)), key=lambda i: -records[i][0].size)
+        while order:
+            size = records[order[0]][0].size
+            part = [i for i in order if records[i][0].size + CHUNK_STEPS + 1 >= size]
+            del order[:len(part)]
+            lengths = np.array([records[i][0].size for i in part])
+            block = np.zeros((size, len(part)))  # a record per column
+            for col, i in enumerate(part):
+                block[:lengths[col], col] = records[i][0]
+            if filtered:
+                block = lowpass(block, k_mid, np.array([records[i][1] for i in part]), lengths)
+                np.abs(block, out=block)
+            for i, n, column in zip(part, lengths.tolist(), block.T):
+                values[i] = float(column[:n].max())  # a column's own rows
+        for (s, bound), value in zip(stopping, values):
+            if value > bound:
+                settle(s, TERM_MAX_TIME, value)
+        for (row, code, _, _), value in zip(ended, values[len(stopping):]):
+            codes.flat[row], peaks.flat[row] = code, value
+        del ended[:]
 
     def solve_event(c, wall, y0, y1, span, t_step):
         """(tau, x, v) at the event in the step of span from (y0, y1) at
@@ -382,9 +369,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
 
     def finish(s, code, t_before, t_end):
         """Settle slot s at its last sample, taken at t_end; t_before is the
-        time of the sample before it. Without keep the slot's readings go to
-        settle_ended."""
-        nonlocal held
+        time of the sample before it. Without keep the slot's readings wait
+        for the pass's read."""
         if keep:
             x, v = (np.concatenate(c) for c in zip(*parts[s]))
             parts[s] = []  # drop the chunk views before the temporaries
@@ -393,22 +379,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             kept.flat[row_of[s]] = (t, x, v, accel(damping[s], x, v))
             return settle(s, code, math.nan)
         k_last = prewarped_gain(cutoff, t_end - t_before) if filtered else None
-        size = sum(map(len, parts[s]))
-        if held + size > SETTLE_SAMPLES:
-            settle_ended()
-            del ended[:]
-            held = 0
-        # records share one buffer: held apart, they fragment the heap
-        record = store[held:held + size] if size <= SETTLE_SAMPLES else np.empty(size)
-        ended.append((row_of[s], code, np.concatenate(parts[s], out=record), k_last))
+        ended.append((row_of[s], code, np.concatenate(parts[s]), k_last))
         parts[s], row_of[s] = [], None
-        held += size
-
-    def settle_ended():
-        """Settle the ended contacts: read their records."""
-        rows = [row for row, _, _, _ in ended]
-        peaks.flat[rows] = read([(trace, k_last) for _, _, trace, k_last in ended])
-        codes.flat[rows] = [code for _, code, _, _ in ended]
 
     while True:
         for s in range(slots):
@@ -429,8 +401,12 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                     table, table_b = _transition(0.5 * c / mass, w2, steps), b
                 phi[:, s] = table
                 state[:, s] = (-x_eq, v0)
-        if all(row is None for row in row_of):
+        live = [s for s, row in enumerate(row_of) if row is not None]
+        if not live:
             break
+        if len(live) < slots:  # no contact waits: later passes take the live slots, in order
+            slots, phi, state, damping = len(live), phi[:, live], state[:, live], damping[live]
+            row_of, done, top, parts = ([q[s] for s in live] for q in (row_of, done, top, parts))
 
         # states at steps done .. done+chunk; column 0 repeats the carried state
         y = phi[0] * state[0][:, None] + phi[1] * state[1][:, None]
@@ -503,12 +479,8 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             bound = slack * (shift + math.sqrt(energy2) * (w + damping[s] / mass))
             if top[s] > bound:
                 stopping.append((s, bound))
-        # the slots whose largest reading passed their bound, read together
-        records = [(np.concatenate(parts[s]), k_mid) for s, _ in stopping]
-        for (s, bound), value in zip(stopping, read(records)):
-            if value > bound:
-                settle(s, TERM_MAX_TIME, value)
-    settle_ended()
+        read(stopping)
+    read([])
     return peaks, codes, kept
 
 

@@ -33,10 +33,9 @@ peak acceleration and the termination of many, and stops each contact as
 soon as neither can change any more, so both read the same samples (as
 simulate_impact does, with stop_when_final, for its largest compression).
 Each event is located by one Newton solve as its contact ends. drop_peaks
-settles the contacts that end in batches; a batch of at least
-_kernels.ARRAY_SETTLE records, as in the fit's grid scan, is filtered in
-blocks instead of record by record, and so are the contacts that one chunk
-pass stops early; the results are the same bit for bit.
+reads the contacts that end in a chunk pass, and those that the pass stops
+early, together, filtered as the columns of blocks; the results are the
+same bit for bit.
 The accumulated damper energy (integral of c*x'^2) is not propagated:
 simulate_impact sums the exact dissipation y'Q(h)y of each sample step over
 the recorded states, independently of the energy balance; damper_gram is

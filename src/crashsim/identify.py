@@ -13,14 +13,15 @@ A FitSetup holds what the fit keeps fixed: one ImpactParams (its damping is
 not used) and one DropScenario, each checked once, when it is built.
 
 Model peaks come from one batched evaluator, dynamics.drop_peaks: the grid
-and both bracket endpoints are one (66, A) call for A distinct altitudes,
-and each golden-section step is one (1, A) call; why its early-stopped
-peaks equal the full trajectories' peaks is set out in
-_kernels.propagate_contacts and in README "Performance". fit_damping
-records every (damping, loss) it evaluates, in order, and returns the first
-least-loss entry of that record. The golden-section search stops when its
-interval is no wider than the tolerance, or when its two probes no longer
-lie strictly inside it, so it always ends.
+(which ends on the upper bracket end) and the lower bracket end are one
+(65, A) call for A distinct altitudes, and each golden-section step is one
+(1, A) call; why its early-stopped peaks equal the full trajectories'
+peaks is set out in _kernels.propagate_contacts and in README
+"Performance". fit_damping records every (damping, loss) it evaluates, in
+order, and returns the first least-loss entry of that record. The
+golden-section search stops when its interval is no wider than the
+tolerance, or when its two probes no longer lie strictly inside it, so it
+always ends.
 """
 
 from __future__ import annotations
@@ -174,13 +175,15 @@ def fit_damping(setup: FitSetup, observations: list[PeakObservation],
         return values
 
     # coarse scan: log-spaced grid from at most 1e-3*c_crit above c_low (log
-    # spacing needs a positive start), evaluated in one batch with both
-    # endpoints, so the result provably beats both
+    # spacing needs a positive start) and c_low in one batch; the grid ends on
+    # c_high, recorded again in its place, so the result provably beats both ends
     offset = min(1e-6 * (c_high - c_low), 1e-3 * setup.params.critical_damping)
     eps = min(max(1e-3, offset), 0.5 * (c_high - c_low))
     with np.errstate(over="ignore"):  # 10**log10(c_high) may round past the float range
         grid = np.geomspace(c_low + eps, c_high, 64)  # whose ends geomspace then sets exactly
-    i = int(np.argmin(evaluate(*grid.tolist(), c_low, c_high)[:len(grid)]))
+    values = evaluate(*grid.tolist(), c_low)
+    record.append((c_high, values[len(grid) - 1]))
+    i = int(np.argmin(values[:len(grid)]))
 
     # golden-section refinement inside the bracketing grid cell
     a = c_low if i == 0 else float(grid[i - 1])

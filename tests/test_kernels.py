@@ -166,7 +166,7 @@ class TestLowpassMatchesLoop:
                                    lowpass_loop(values, 0.0787, k_last),
                                    rtol=1e-12, atol=1e-12)
 
-    # a large settle batch filters its records as columns of one block
+    # a read filters its records as the columns of one block
     @settings(max_examples=40, deadline=None)
     @given(traces=st.lists(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=300),
                            min_size=1, max_size=8),
@@ -194,8 +194,8 @@ class TestLowpassMatchesLoop:
 
 class TestStopFiltersOnce:
     """A record is filtered only once its largest reading exceeds the stop's
-    bound, so every contact is filtered once, at its stop or at its end,
-    alone or as one column of a block."""
+    bound, so every contact is filtered once, at its stop or at its end, as
+    one column of a block."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -229,9 +229,9 @@ class TestStopFiltersOnce:
         peaks, _ = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
         assert len(passes) == peaks.size == 198
 
-    # a call settles the contacts that end, at events or at the horizon, in
-    # batches, each record ending on its own last step, and filters each one
-    # that stops alone over whole steps, on n*CHUNK_STEPS + 1 readings after
+    # a call reads the contacts that end, at events or at the horizon, after
+    # each chunk pass, each record ending on its own last step, and filters
+    # each one that stops over whole steps, on n*CHUNK_STEPS + 1 readings after
     # n chunks: every max_time contact of the grid stops at its first chunk
     # boundary, as soon as its peak is final, though the frame is then still
     # many x_eq deep
@@ -490,7 +490,7 @@ class TestElementwiseMath:
 
 
 def contact_by_contact(params, scenario, dampings, altitudes, use_raw_peak):
-    """drop_peaks of each (damping, altitude) alone, a settle batch of one."""
+    """drop_peaks of each (damping, altitude) alone, a read of one record."""
     peaks = np.empty((len(dampings), len(altitudes)))
     terminations = np.empty(peaks.shape, dtype=object)
     for b, damping in enumerate(dampings):
@@ -504,7 +504,7 @@ class TestMassRelation:
     """Scaling (m, c, k) by a power of two leaves alpha = c/(2m), w2 = k/m
     and every reading a = g - (c*v + k*x)/m exact, so drop_peaks must give
     the same peaks and terminations bit for bit (an oracle-free metamorphic
-    relation), in calls of B x A on either side of ARRAY_SETTLE."""
+    relation), in calls of B x A from one contact to more than ROW_BLOCK."""
 
     @settings(max_examples=20, deadline=None)
     @given(mass=st.floats(-1.5, 0.5).map(lambda e: 10.0 ** e),
@@ -534,8 +534,9 @@ class TestMassRelation:
 
 
 class TestBulkSettle:
-    """A read of at least ARRAY_SETTLE records filters them as the columns
-    of blocks; it must give what each contact gives alone."""
+    """A read filters the records of a chunk pass as the columns of blocks;
+    it must give what each contact gives alone, however many contacts a
+    pass advances."""
 
     @settings(max_examples=25, deadline=None)
     @given(mass=st.floats(0.03, 3.0),
@@ -554,12 +555,12 @@ class TestBulkSettle:
         # strokes from just below the static deflection x_eq = m*g/k
         scenario = DropScenario(0.0, clearance=stroke * mass * 9.81 / stiffness,
                                 sample_rate=sample_rate)
-        assert len(dampings) * len(altitudes) >= _kernels.ARRAY_SETTLE
+        assert len(dampings) * len(altitudes) > _kernels.ROW_BLOCK
         alone_peaks, alone_terminations = contact_by_contact(params, scenario, dampings,
                                                              altitudes, use_raw_peak)
-        # batches as they come, and every batch one of array work
-        for array_settle in (_kernels.ARRAY_SETTLE, 1):
-            with mock.patch.object(_kernels, "ARRAY_SETTLE", array_settle):
+        # passes as they come, one contact a pass, and three
+        for row_block in (_kernels.ROW_BLOCK, 1, 3):
+            with mock.patch.object(_kernels, "ROW_BLOCK", row_block):
                 peaks, terminations = drop_peaks(params, scenario, dampings, altitudes,
                                                  use_raw_peak)
             np.testing.assert_array_equal(peaks, alone_peaks)
@@ -586,30 +587,55 @@ class TestBulkSettle:
         for entry, element in zip(got, want):
             assert np.float64(entry).tobytes() == element.tobytes()
 
-    @pytest.mark.parametrize("use_raw_peak", [False, True])
-    def test_small_budget_settles_in_batches(self, monkeypatch, use_raw_peak):
+    def test_reference_grid_filters_each_record_once_in_blocks(self, monkeypatch):
         params = ImpactParams(MASS, 46.0, STIFFNESS)
         dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
-        scenario = DropScenario(0.0)
-        whole = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        reads = []  # per lowpass call: None for a record alone, else a block's columns
+        whole = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
+        blocks = []  # the column lengths of each lowpass call, None for a trace alone
         lowpass = _kernels.lowpass
 
         def counting(values, k_mid, k_last, traces=None):
-            reads.append(None if traces is None else traces.size)
+            blocks.append(None if traces is None else traces.tolist())
             return lowpass(values, k_mid, k_last, traces)
 
         monkeypatch.setattr(_kernels, "lowpass", counting)
-        monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 2 * _kernels.CHUNK_STEPS)
-        batched = drop_peaks(params, scenario, dampings, [0.5, 1.0, 1.5], use_raw_peak)
-        # reads on both sides of ARRAY_SETTLE: some records are filtered as
-        # blocks, the rest one by one; raw peaks are never filtered
-        if not use_raw_peak:
-            blocks, alone = [n for n in reads if n is not None], reads.count(None)
-            assert len(blocks) >= 2 and alone > 0
-            assert sum(blocks) + alone == batched[0].size
-        np.testing.assert_array_equal(batched[0], whole[0])
-        assert (batched[1] == whole[1]).all()
+        peaks, terminations = drop_peaks(params, DropScenario(0.0), dampings, [0.5, 1.0, 1.5])
+        assert None not in blocks
+        assert sum(map(len, blocks)) == peaks.size
+        np.testing.assert_array_equal(peaks, whole[0])
+        assert (terminations == whole[1]).all()
+
+    def test_horizon_long_record_pads_no_short_one(self, monkeypatch):
+        # an undamped 2 N/m frame turns after the 1 s horizon, so its slow
+        # drop runs 100 001 readings at 100 kHz, while its fast drops reach
+        # the 5 m stroke within one chunk. With two slots, one carries the
+        # slow drop and the other a fast one a pass, so the last fast one
+        # ends in the pass where the slow one does, and one read holds both
+        params = ImpactParams(1.0, 0.0, 2.0)
+        scenario = DropScenario(0.0, clearance=5.0, sample_rate=100000.0)
+        passes = -(-100000 // _kernels.CHUNK_STEPS)
+        altitudes = [0.01] + [1e5] * passes
+        whole = drop_peaks(params, scenario, [0.0], altitudes)
+        blocks = []  # (rows, column lengths) of each lowpass call
+        lowpass = _kernels.lowpass
+
+        def recording(values, k_mid, k_last, traces=None):
+            blocks.append((values.shape[0], traces.tolist()))
+            return lowpass(values, k_mid, k_last, traces)
+
+        monkeypatch.setattr(_kernels, "lowpass", recording)
+        monkeypatch.setattr(_kernels, "ROW_BLOCK", 2)
+        peaks, terminations = drop_peaks(params, scenario, [0.0], altitudes)
+        assert terminations[0, 0] is Termination.MAX_TIME
+        assert (terminations[0, 1:] == Termination.COLLISION).all()
+        # the last read: the slow record's block, then the last fast one's
+        assert blocks[-2] == (100001, [100001])
+        assert blocks[-1][0] < _kernels.CHUNK_STEPS
+        assert sum(len(lengths) for _, lengths in blocks) == peaks.size
+        for rows, lengths in blocks:
+            assert rows - min(lengths) <= _kernels.CHUNK_STEPS + 1
+        np.testing.assert_array_equal(peaks, whole[0])
+        assert (terminations == whole[1]).all()
 
     def test_unresolved_event_raises_the_first(self, monkeypatch):
         # 1e297 m and 1e298 m drops cross the stroke within a few ulp of the
@@ -619,11 +645,11 @@ class TestBulkSettle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # events are solved as their contacts end, so the same first one
-            # raises whether the settle buffer holds every ended contact or,
-            # at one sample, settles each as the next one ends
+            # raises whether a pass advances ROW_BLOCK contacts or, at one,
+            # each contact runs to its end before the next one starts
             with pytest.raises(NumericalError) as bulk:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
-            monkeypatch.setattr(_kernels, "SETTLE_SAMPLES", 1)
+            monkeypatch.setattr(_kernels, "ROW_BLOCK", 1)
             with pytest.raises(NumericalError) as inline:
                 drop_peaks(params, DropScenario(0.0), dampings, altitudes)
         assert "not resolved" in str(inline.value)
@@ -679,6 +705,21 @@ def kernel_digest():
     return digest.hexdigest()
 
 
+def grid_digest():
+    """SHA-256 over the peak bytes and terminations of the reference fit's
+    66 x 3 grid call at 5, 20 and 100 kHz, raw and filtered."""
+    digest = hashlib.sha256()
+    params = ImpactParams(MASS, 46.0, STIFFNESS)
+    dampings = [*np.geomspace(1e-3, 5.0 * C_CRIT, 64), 0.0, 5.0 * C_CRIT]
+    for sample_rate in (5000.0, 20000.0, 100000.0):
+        for use_raw_peak in (False, True):
+            peaks, terminations = drop_peaks(params, DropScenario(0.0, sample_rate=sample_rate),
+                                             dampings, [0.5, 1.0, 1.5], use_raw_peak)
+            digest.update(peaks.tobytes())
+            digest.update(" ".join(t.value for t in terminations.flat).encode())
+    return digest.hexdigest()
+
+
 class TestKernelDigest:
     """Every other bit-identity test compares two paths of the same code;
     this one pins the kernel's outputs to those recorded on a fixed build, so
@@ -699,3 +740,17 @@ class TestKernelDigest:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert kernel_digest() == self.DIGESTS[key]
+
+    # the grid call's chunk passes, and its reads of ended and stopped contacts
+    GRID_DIGESTS = {
+        ("2.4.6", "X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "glibc 2.36"):
+            "e091a52a13557d0ef349092fb9626777bb97f120289ea538c635715ebf57d8a1",
+    }
+
+    def test_grid_call_matches_the_recorded_digest(self):
+        key = (np.__version__, simd_targets(), " ".join(platform.libc_ver()))
+        if key not in self.GRID_DIGESTS:
+            pytest.skip(f"no digest recorded for numpy, SIMD targets and C library {key}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert grid_digest() == self.GRID_DIGESTS[key]

@@ -77,12 +77,14 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
     contact also ends at its first turning point (v = 0 after compression),
     where it reads max_time.
 
-    The stroke event sees only a sign change of x - stroke between step
-    ends, so a peak that passes the stroke and turns back within one step
-    raises none. The first turning point is an event too: where x there
-    reaches the stroke the contact collides, and the solution ends at the
-    crossing before it, found on the dense output. Later peaks are no
-    higher, since the energy about x_eq never grows."""
+    The stroke and lift-off events see only a sign change of x between
+    step ends, so a peak that passes the stroke, or a dip that passes zero,
+    and turns back within one step raises none. The first turning point and
+    the first dip (v = 0 upward) are events too: where x at the turning
+    point reaches the stroke the contact collides, where x at the dip is at
+    most 0 it rebounds, and the solution ends at the crossing before it,
+    found on the dense output. Later peaks are no higher and later dips no
+    lower, since the energy about x_eq never grows."""
     m, c, k, g = params.mass, params.damping, params.stiffness, params.gravity
     clearance = scenario.clearance
 
@@ -95,6 +97,9 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
     def turn(t, y):
         return y[1]
 
+    def dip(t, y):
+        return y[1]
+
     def rhs(t, y):
         a = g - (c * y[1] + k * y[0]) / m
         return (y[1], a, c * y[1] * y[1]) if damper_energy else (y[1], a)
@@ -102,24 +107,31 @@ def contact_solution(params: ImpactParams, scenario: DropScenario, damper_energy
     stroke.terminal, stroke.direction = True, 1.0
     lift_off.terminal, lift_off.direction = True, -1.0
     turn.terminal, turn.direction = until_turn, -1.0
+    dip.terminal, dip.direction = False, 1.0
     v0 = math.sqrt(2.0 * g * scenario.drop_altitude)
     y0 = (0.0, v0, 0.0) if damper_energy else (0.0, v0)
     sol = integrate.solve_ivp(rhs, (0.0, MAX_TIME_S), y0, method="DOP853", rtol=RTOL,
-                              atol=ATOL, events=(stroke, lift_off, turn), dense_output=True)
+                              atol=ATOL, events=(stroke, lift_off, turn, dip), dense_output=True)
     assert sol.success and sol.t.size < MAX_STEPS
-    if sol.t_events[0].size:
-        return Termination.COLLISION, sol
-    if sol.t_events[2].size and sol.y_events[2][0][0] >= clearance:
-        # the step ends before the turn lie below the stroke
-        t_turn = sol.t_events[2][0]
-        t_hit = optimize.brentq(lambda t: stroke(t, sol.sol(t)),
-                                sol.t[sol.t < t_turn][-1], t_turn)
+
+    def end_before(wall, t_event):
+        """sol, ended at the crossing of wall between the last step end
+        before t_event, which lies on the near side, and t_event."""
+        t_hit = optimize.brentq(lambda t: wall(t, sol.sol(t)), sol.t[sol.t < t_event][-1],
+                                t_event)
         before = sol.t < t_hit
         sol.t = np.append(sol.t[before], t_hit)
         sol.y = np.column_stack((sol.y[:, before], sol.sol(t_hit)))
+        return sol
+
+    if sol.t_events[0].size:
         return Termination.COLLISION, sol
+    if sol.t_events[2].size and sol.y_events[2][0][0] >= clearance:
+        return Termination.COLLISION, end_before(stroke, sol.t_events[2][0])
     if sol.t_events[1].size:
         return Termination.REBOUND, sol
+    if sol.t_events[3].size and sol.y_events[3][0][0] <= 0.0:
+        return Termination.REBOUND, end_before(lift_off, sol.t_events[3][0])
     return Termination.MAX_TIME, sol
 
 
@@ -179,6 +191,22 @@ def test_stroke_passed_within_one_step_collides(excess):
     x, v = sol.sol(sol.t[-1])
     assert abs(x - 0.05) <= TOL * 0.05
     assert abs(traj.time[-1] - sol.t[-1]) <= TOL * 0.05 / abs(v)
+
+
+# a frame whose first dip, 0.1535 s into the 2 cm drop, reaches just below
+# zero between two of DOP853's step ends
+def test_dip_passed_within_one_step_rebounds():
+    stiffness = 1097.0
+    zeta = 0.15462296650433585 * (1.0 - 1e-6)
+    params = ImpactParams(1.0, zeta * 2.0 * math.sqrt(stiffness), stiffness)
+    scenario = DropScenario(0.02, clearance=0.5)
+    termination, sol = contact_solution(params, scenario)
+    traj = simulate_contact(params, scenario)
+    assert termination is traj.termination is Termination.REBOUND
+    x, v = sol.sol(sol.t[-1])
+    x_scale = traj.max_compression
+    assert abs(x) <= TOL * x_scale
+    assert abs(traj.time[-1] - sol.t[-1]) <= TOL * x_scale / abs(v)
 
 
 def oracle_first_peak(params: ImpactParams, v0: float) -> float:
