@@ -46,7 +46,7 @@ CHUNK_STEPS = 512
 
 # contacts that propagate_contacts advances together in one numpy pass, so a
 # pass holds ROW_BLOCK x CHUNK_STEPS elements per array whatever B x A is,
-# and its read at most ROW_BLOCK records that are not zero-length
+# and its read at most ROW_BLOCK records
 ROW_BLOCK = 16
 
 # relative slack on the stop rule's bounds, far above the rounding of the
@@ -278,9 +278,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     `keep`, the records of the contacts that end in a chunk pass, at an
     event or at the horizon, each on its own last step, are read at the end
     of the pass in one call of the reader, with the records of the contacts
-    that the stop tests; the zero-length contacts that end after the last
-    pass are read after it. A call with `keep` reads nothing. Peaks and
-    terminations are each contact's own bit for bit.
+    that the stop tests. A zero-length contact settles where it starts, on
+    its one reading, which the filter passes unchanged over a step of 0. A
+    call with `keep` reads nothing. Peaks and terminations are each
+    contact's own bit for bit.
     """
     dampings = np.asarray(dampings, dtype=np.float64)
     v0s = np.asarray(v0s, dtype=np.float64)
@@ -324,11 +325,12 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
     def read(stopping):
         """Settle this pass's ended contacts, and each (slot, bound) of
         stopping whose peak passes its bound, from one read of their
-        (readings, k_last) records. A record's peak is its largest reading,
-        filtered when a cutoff is set. Longest first, each block takes as
-        its columns every record left within CHUNK_STEPS + 1 samples of the
-        longest one left, so no column is padded by more, and one lowpass
-        call filters it, each column on its own last step."""
+        (readings, k_last) records, each of two samples or more. A record's
+        peak is its largest reading, filtered when a cutoff is set. Longest
+        first, each block takes as its columns every record left within
+        CHUNK_STEPS + 1 samples of the longest one left, so no column is
+        padded by more, and one lowpass call filters it, each column on its
+        own last step."""
         records = [(np.concatenate(parts[s]), k_mid) for s, _ in stopping]
         records += [(trace, k_last) for _, _, trace, k_last in ended]
         values = [0.0] * len(records)
@@ -395,7 +397,10 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
                 if v0 == 0.0:
                     # a zero-length contact ends at its one sample (a = g),
                     # which the filter passes unchanged over a step of 0
-                    finish(s, TERM_REBOUND, 0.0, 0.0)
+                    if keep:
+                        finish(s, TERM_REBOUND, 0.0, 0.0)
+                    else:
+                        settle(s, TERM_REBOUND, parts[s][0][0])
                     continue
                 if b != table_b:
                     table, table_b = _transition(0.5 * c / mass, w2, steps), b
@@ -428,9 +433,7 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             ye, ve = y[:, chunk - 1].tolist(), v[:, chunk - 1].tolist()
         stopping = []  # (slot, bound) of the contacts that the stop reads
 
-        for s, row in enumerate(row_of):
-            if row is None:
-                continue
+        for s in range(slots):
             length = min(chunk, max_records - done[s])
             alpha = 0.5 * damping.item(s) / mass
             # j: the first event's step, else length; a step ending past a wall holds one
@@ -480,7 +483,6 @@ def propagate_contacts(mass, dampings, stiffness, gravity, v0s, clearance,
             if top[s] > bound:
                 stopping.append((s, bound))
         read(stopping)
-    read([])
     return peaks, codes, kept
 
 
@@ -489,7 +491,7 @@ def prewarped_gain(cutoff, dt):
     return math.tan(math.pi * cutoff * dt)
 
 
-def lowpass(values, k_mid, k_last, lengths=None):
+def lowpass(values, k_mid, k_last, lengths=0):
     """First-order low-pass via the bilinear transform, k = tan(pi*fc*dt).
 
     The recurrence y[i] = b0*(x[i] + x[i-1]) + r*y[i-1], r = (1-k)/(1+k),
@@ -500,23 +502,25 @@ def lowpass(values, k_mid, k_last, lengths=None):
     the final transition only; it lets an event-terminated trajectory end on
     a shorter-than-nominal step.
 
-    values is one trace, or with `lengths` a time-major (n, C) block whose
-    column c holds a trace of lengths[c] samples, and k_last one gain per
-    column. The scan runs down the block at once, and a row only ever draws
-    on rows above it, so each column's first lengths[c] outputs are the
-    trace's own, bit for bit; the rows below are left unspecified. The
-    output and the scan's scratch keep the block's memory order.
+    values is one trace (one column), or a time-major (n, C) block whose
+    column c holds a trace of lengths[c] >= 2 samples, with k_last one gain
+    per column; a length of 0 is the block's height. The scan runs down the
+    block at once, and a row only ever draws on rows above it, so each
+    column's first lengths[c] outputs are the trace's own, bit for bit; the
+    rows below are left unspecified. Every column then takes its final step
+    from its last sample, the one before it and its own gain, at their flat
+    positions in the C-ordered output; in a one-sample trace the one before
+    wraps to the last, which holds the warm start.
     """
-    n = values.shape[0]
+    n, width = values.shape[0], values[0].size  # a trace is one column
     m = n - 1  # the final sample is advanced on its own coefficients
-    b0 = k_mid / (1.0 + k_mid)
-    r = (1.0 - k_mid) / (1.0 + k_mid)
+    b0, r = k_mid / (1.0 + k_mid), (1.0 - k_mid) / (1.0 + k_mid)
 
-    out = np.empty_like(values)
+    out = np.empty(values.shape)
+    out[0] = values[0]  # the warm start y[-1]
     np.add(values[1:m], values[:m - 1], out=out[1:m])
-    out[:m] *= b0
-    if m:
-        out[0] = b0 * (values[0] + values[0]) + r * values[0]
+    out[1:m] *= b0
+    out[:m][:1] = b0 * (values[0] + values[0]) + r * values[0]  # y[0], unless it is the last
     scratch = np.empty_like(out)
     d, r_d = 1, r
     while d < m and r_d != 0.0:
@@ -525,14 +529,9 @@ def lowpass(values, k_mid, k_last, lengths=None):
         d *= 2
         r_d *= r_d
 
-    b0_last = k_last / (1.0 + k_last)
-    a1_last = (k_last - 1.0) / (1.0 + k_last)
-    if lengths is None:
-        x_prev, y_prev = (values[m - 1], out[m - 1]) if m else (values[0], values[0])
-        out[m] = b0_last * (values[m] + x_prev) - a1_last * y_prev
-    else:
-        last, cols = lengths - 1, np.arange(lengths.size)
-        x_prev = np.where(last > 0, values[last - 1, cols], values[0])
-        y_prev = np.where(last > 0, out[last - 1, cols], values[0])
-        out[last, cols] = b0_last * (values[last, cols] + x_prev) - a1_last * y_prev
+    b0_last, a1_last = k_last / (1.0 + k_last), (k_last - 1.0) / (1.0 + k_last)
+    last = (lengths - 1) % n * width + np.arange(width)
+    prev = last - width
+    x, y = values.ravel(), out.ravel()
+    y[last] = b0_last * (x[last] + x[prev]) - a1_last * y[prev]
     return out

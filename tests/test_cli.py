@@ -605,6 +605,9 @@ def fit_inputs(tmp_path_factory):
     # peaks whose squared error overflows at every damping
     (base / "overflow_peaks.csv").write_text("altitude_cm,peak_ms2,label\n50,1e200,a\n"
                                              "100,2e200,b\n")
+    (base / "negative_statics.csv").write_text("force_n,deflection_m\n1,-0.001\n")
+    for value in ("nan", "inf"):
+        (base / f"{value}_peaks.csv").write_text(f"altitude_cm,peak_ms2,label\n100,{value},a\n")
     return base
 
 
@@ -697,7 +700,8 @@ class TestExtremeOptions:
         assert run_checked(data.draw(extreme_argvs(fit_inputs))) in (0, 2, 3)
 
     # what the test above found: tracebacks, RuntimeWarnings, inf in the
-    # output, and runs that never end (kept here with inputs that end anyway)
+    # output, and runs that never end (kept here with inputs that end anyway);
+    # then refusals that no other test reaches
     @pytest.mark.parametrize("argv, code, message", [
         (("--seed", "-1", "synth", "--altitudes-cm", "100"), 2, "seed"),
         (("synth", "--altitudes-cm", "0", "--repeats", 2**63 - 1), 2, "repeats"),
@@ -720,6 +724,18 @@ class TestExtremeOptions:
         (("simulate", "--altitude-cm", "1e300"), 3, "not resolved"),
         (("fit", "--peaks", "overflow_peaks.csv", "--stiffness", "7040"), 3,
          "squared peak error overflows"),
+        (("energy", "--altitudes-cm", ","), 2, "altitude list is empty"),
+        (("synth", "--altitudes-cm", " , "), 2, "altitude list is empty"),
+        (("simulate", "--altitude-cm", "100", "--max-time", "0"), 2, "max_time must be > 0"),
+        (("simulate", "--altitude-cm", "100", "--max-time", "-1"), 2, "max_time must be > 0"),
+        (("fit", "--statics", "negative_statics.csv"), 2,
+         "negative_statics.csv:2: deflection must be >= 0"),
+        (("fit", "--stiffness", "7040", "--tolerance", "0"), 2, "tolerance must be > 0"),
+        (("fit", "--stiffness", "7040", "--tolerance", "nan"), 2, "tolerance must be > 0"),
+        (("fit", "--peaks", "nan_peaks.csv", "--stiffness", "7040"), 2,
+         "nan_peaks.csv:2: non-finite peak value"),
+        (("fit", "--peaks", "inf_peaks.csv", "--stiffness", "7040"), 2,
+         "inf_peaks.csv:2: non-finite peak value"),
     ])
     def test_found_cases(self, fit_inputs, capsys, argv, code, message):
         if argv[0] == "fit" and "--peaks" not in argv:

@@ -149,6 +149,10 @@ class TestSimulateContact:
         assert traj.compression[0] == 0.0
         assert traj.acceleration[0] == pytest.approx(9.81)
 
+    def test_negative_impact_velocity_rejected(self, reference_params, make_scenario):
+        with pytest.raises(DomainError, match="impact velocity must be >= 0"):
+            simulate_impact(reference_params, -1.0, make_scenario(0.0))
+
     def test_max_time_termination(self, reference_params, make_scenario):
         traj = simulate_contact(reference_params, make_scenario(1.0), max_time=0.002)
         assert traj.termination is Termination.MAX_TIME

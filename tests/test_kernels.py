@@ -15,10 +15,13 @@ from crashsim import (
     DropScenario,
     ImpactParams,
     NumericalError,
+    SignalTrace,
     Termination,
     analytic_solution,
     drop_peaks,
     filtered_peak,
+    filtered_series,
+    lowpass_filter,
     peak_acceleration,
     simulate_contact,
     simulate_impact,
@@ -166,30 +169,29 @@ class TestLowpassMatchesLoop:
                                    lowpass_loop(values, 0.0787, k_last),
                                    rtol=1e-12, atol=1e-12)
 
-    # a read filters its records as the columns of one block
+    # a read filters its records, each of two samples or more, as the
+    # columns of one C-ordered time-major block
     @settings(max_examples=40, deadline=None)
-    @given(traces=st.lists(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=300),
+    @given(traces=st.lists(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=300),
                            min_size=1, max_size=8),
            ratio=st.sampled_from([4.0, 10.0, 40.0, 200.0, 2000.0]),
            shares=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8))
     def test_block_of_mixed_lengths(self, traces, ratio, shares):
         lengths = np.array([len(trace) for trace in traces])
-        block = np.full((len(traces), lengths.max() + 2), 7.0)  # samples past a trace are ignored
+        block = np.full((lengths.max() + 2, len(traces)), 7.0)  # samples past a trace are ignored
         for col, trace in enumerate(traces):
-            block[col, :len(trace)] = trace
+            block[:len(trace), col] = trace
         k_mid = math.tan(math.pi / ratio)
         k_last = np.tan(math.pi / ratio * np.array(shares[:len(traces)]))
-        # the time-major block in either memory order
-        for time_major in (block.T, np.ascontiguousarray(block.T)):
-            got = _kernels.lowpass(time_major, k_mid, k_last, lengths)
-            for col, trace in enumerate(traces):
-                values = np.array(trace)
-                alone = got[:len(trace), col]
-                # bit for bit the trace filtered alone, and within rounding of the loop
-                np.testing.assert_array_equal(alone, _kernels.lowpass(values, k_mid, k_last[col]))
-                scale = max(float(np.max(np.abs(values))), 1e-300)
-                np.testing.assert_allclose(alone, lowpass_loop(values, k_mid, k_last[col]),
-                                           rtol=1e-12, atol=1e-12 * scale)
+        got = _kernels.lowpass(block, k_mid, k_last, lengths)
+        for col, trace in enumerate(traces):
+            values = np.array(trace)
+            alone = got[:len(trace), col]
+            # bit for bit the trace filtered alone, and within rounding of the loop
+            np.testing.assert_array_equal(alone, _kernels.lowpass(values, k_mid, k_last[col]))
+            scale = max(float(np.max(np.abs(values))), 1e-300)
+            np.testing.assert_allclose(alone, lowpass_loop(values, k_mid, k_last[col]),
+                                       rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestStopFiltersOnce:
@@ -203,8 +205,8 @@ class TestStopFiltersOnce:
         lengths = []
         lowpass = _kernels.lowpass
 
-        def counting(values, k_mid, k_last, traces=None):
-            lengths.extend([values.size] if traces is None else traces.tolist())
+        def counting(values, k_mid, k_last, traces=0):
+            lengths.extend([values.size] if values.ndim == 1 else traces.tolist())
             return lowpass(values, k_mid, k_last, traces)
 
         monkeypatch.setattr(_kernels, "lowpass", counting)
@@ -239,8 +241,8 @@ class TestStopFiltersOnce:
         stops = []  # records filtered on k_mid to the end: a stop's, not an event's
         lowpass = _kernels.lowpass
 
-        def recording(values, k_mid, k_last, traces=None):
-            if traces is None:
+        def recording(values, k_mid, k_last, traces=0):
+            if values.ndim == 1:
                 stops.extend([values.size] if k_last == k_mid else [])
             else:
                 stops.extend(n for n, k in zip(traces.tolist(), k_last.tolist()) if k == k_mid)
@@ -594,8 +596,8 @@ class TestBulkSettle:
         blocks = []  # the column lengths of each lowpass call, None for a trace alone
         lowpass = _kernels.lowpass
 
-        def counting(values, k_mid, k_last, traces=None):
-            blocks.append(None if traces is None else traces.tolist())
+        def counting(values, k_mid, k_last, traces=0):
+            blocks.append(None if values.ndim == 1 else traces.tolist())
             return lowpass(values, k_mid, k_last, traces)
 
         monkeypatch.setattr(_kernels, "lowpass", counting)
@@ -619,7 +621,7 @@ class TestBulkSettle:
         blocks = []  # (rows, column lengths) of each lowpass call
         lowpass = _kernels.lowpass
 
-        def recording(values, k_mid, k_last, traces=None):
+        def recording(values, k_mid, k_last, traces=0):
             blocks.append((values.shape[0], traces.tolist()))
             return lowpass(values, k_mid, k_last, traces)
 
@@ -720,6 +722,39 @@ def grid_digest():
     return digest.hexdigest()
 
 
+def sensor_digest():
+    """SHA-256 over drop_peaks calls that hold 0 m drops among moving ones,
+    raw and filtered, each of more than ROW_BLOCK contacts, and over the
+    sensor's outputs on traces of 1, 2 and 3 samples and on event-terminated
+    trajectories at 5, 20 and 100 kHz."""
+    digest = hashlib.sha256()
+    params = ImpactParams(MASS, 46.0, STIFFNESS)
+    dampings = np.geomspace(1.0, 5.0 * C_CRIT, 16).tolist()
+    rates = (5000.0, 20000.0, 100000.0)
+    # 0 m drops between moving ones and last; with 16 moving drops, some of
+    # the last 0 m ones are drawn only after the last pass
+    for altitudes in ([0.0, 0.5, 0.0, 20.0], [1.0, 0.0, 0.0], [20.0, 0.0], [0.0, 0.0]):
+        for sample_rate in rates:
+            for use_raw_peak in (False, True):
+                peaks, terminations = drop_peaks(params, DropScenario(0.0, sample_rate=sample_rate),
+                                                 dampings, altitudes, use_raw_peak)
+                digest.update(peaks.tobytes())
+                digest.update(" ".join(t.value for t in terminations.flat).encode())
+    for values in ([3.0], [3.0, -1.0], [2.0, 5.0, 7.0]):
+        digest.update(lowpass_filter(SignalTrace(20000.0, values), 1000.0).values.tobytes())
+    for sample_rate in rates:
+        scenario = DropScenario(0.0, sample_rate=sample_rate)
+        # one sample (v0 = 0), two and three (the horizon), then a rebound and a collision
+        trajectories = [simulate_impact(params, v0, scenario, max_time=steps / sample_rate)
+                        for v0, steps in ((0.0, 1), (1.0, 1), (1.0, 2))]
+        trajectories += [simulate_contact(params, DropScenario(altitude, sample_rate=sample_rate))
+                         for altitude in (0.5, 20.0)]
+        for traj in trajectories:
+            for cutoff in (1000.0, 0.2 * sample_rate):
+                digest.update(filtered_series(traj, cutoff).tobytes())
+    return digest.hexdigest()
+
+
 class TestKernelDigest:
     """Every other bit-identity test compares two paths of the same code;
     this one pins the kernel's outputs to those recorded on a fixed build, so
@@ -754,3 +789,17 @@ class TestKernelDigest:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert grid_digest() == self.GRID_DIGESTS[key]
+
+    # zero-length contacts among and after moving ones, and the sensor's traces
+    SENSOR_DIGESTS = {
+        ("2.4.6", "X86_V2 X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "glibc 2.36"):
+            "b859607977753644fbf602e5d0577fdc164cee6521a891a00cc564cf123556a1",
+    }
+
+    def test_zero_length_contacts_and_sensor_traces_match_the_recorded_digest(self):
+        key = (np.__version__, simd_targets(), " ".join(platform.libc_ver()))
+        if key not in self.SENSOR_DIGESTS:
+            pytest.skip(f"no digest recorded for numpy, SIMD targets and C library {key}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sensor_digest() == self.SENSOR_DIGESTS[key]

@@ -81,6 +81,10 @@ class TestSignalTrace:
         with pytest.raises(DomainError):
             SignalTrace(FS, np.array([1.0, math.inf]))
 
+    def test_zero_sample_rate_rejected(self):
+        with pytest.raises(DomainError, match="sample_rate must be > 0"):
+            SignalTrace(0.0, [1.0])
+
     def test_two_dimensional_rejected(self):
         with pytest.raises(DomainError):
             SignalTrace(FS, np.zeros((3, 3)))
